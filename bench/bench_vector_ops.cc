@@ -224,7 +224,10 @@ int main(int argc, char** argv) {
 
   if (json) {
     std::ofstream out("BENCH_vector_ops.json");
-    out << "{\n  \"benchmark\": \"vector_ops\",\n  \"active_variant\": \""
+    // Row sizes are fixed by the formats, not measured: tight band.
+    out << "{\n  \"benchmark\": \"vector_ops\",\n"
+           "  \"deterministic_keys\": [\"bytes_per_vector\"],\n"
+           "  \"active_variant\": \""
         << simd::VariantName(simd::ActiveVariant())
         << "\",\n  \"rows_per_call\": " << n << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < all.size(); ++i) {

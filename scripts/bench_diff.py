@@ -8,15 +8,25 @@ same array lengths, and equal strings.  Numbers pass when
 
     |a - b| <= abs_tol + rel_tol * max(|a|, |b|)
 
-with the band chosen per key name:
+with the band chosen per key:
 
-  * wall-clock / machine-dependent keys (throughput, *_rps, qps, ns_per*,
-    gb_per*, speedup, seconds, latency, hit_rate, entries, bytes) get the
-    WIDE band (default rel 0.75) — these guard against collapse, not noise;
-  * everything else (recall, rates on the virtual clock, counts, config
-    echo-back like tasks/threads/dim) gets the TIGHT band (rel 0.02),
-    because those values are deterministic replays and should not move
-    unless the algorithm changed.
+  * a key the BASELINE lists in its top-level "deterministic_keys" array
+    gets the TIGHT band (rel 0.02), whatever its name.  A bench declares
+    the values it replays exactly (virtual-clock hit rates and latencies,
+    work counts such as rows copied per publish), so a name that looks
+    like a wall-clock metric cannot hide a deterministic value in the
+    wide band.  The declaration only ever tightens;
+  * otherwise, wall-clock / machine-dependent key names (throughput,
+    *_rps, qps, ns_per*, gb_per*, speedup, seconds, latency, hit_rate,
+    entries, bytes) get the WIDE band (default rel 0.75) — these guard
+    against collapse, not noise;
+  * everything else (recall, counts, config echo-back like
+    tasks/threads/dim) gets the TIGHT band, because those values are
+    deterministic replays and should not move unless the algorithm
+    changed.
+
+The declaration itself is compared like any other value, so a candidate
+that stops declaring a key fails the diff instead of silently widening.
 
 Strings under VOLATILE_STRING_KEYS (e.g. active_variant — the SIMD level
 differs per machine) only warn on mismatch.
@@ -44,9 +54,23 @@ def is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def diff(base, cand, path, key, errors, warnings, wide_rel, wide_abs):
+def deterministic_keys(doc):
+    """The baseline's declared tight-band keys (empty when undeclared).
+
+    Raises ValueError on a malformed declaration."""
+    if not isinstance(doc, dict) or "deterministic_keys" not in doc:
+        return frozenset()
+    keys = doc["deterministic_keys"]
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise ValueError("deterministic_keys must be a list of key names")
+    return frozenset(keys)
+
+
+def diff(base, cand, path, key, errors, warnings, wide_rel, wide_abs,
+         deterministic=frozenset()):
     if is_number(base) and is_number(cand):
-        wide = bool(key and WIDE_KEY_RE.search(key))
+        wide = bool(key and WIDE_KEY_RE.search(key)) and \
+            key not in deterministic
         rel, tol_abs = (wide_rel, wide_abs) if wide else (TIGHT_REL, TIGHT_ABS)
         band = tol_abs + rel * max(abs(base), abs(cand))
         if abs(base - cand) > band:
@@ -69,7 +93,7 @@ def diff(base, cand, path, key, errors, warnings, wide_rel, wide_abs):
             errors.append(f"{path}.{added}: not in baseline")
         for k in sorted(base.keys() & cand.keys()):
             diff(base[k], cand[k], f"{path}.{k}", k, errors, warnings,
-                 wide_rel, wide_abs)
+                 wide_rel, wide_abs, deterministic)
     elif isinstance(base, list):
         if len(base) != len(cand):
             errors.append(
@@ -78,7 +102,7 @@ def diff(base, cand, path, key, errors, warnings, wide_rel, wide_abs):
             return
         for i, (b, c) in enumerate(zip(base, cand)):
             diff(b, c, f"{path}[{i}]", key, errors, warnings, wide_rel,
-                 wide_abs)
+                 wide_abs, deterministic)
     elif base != cand:
         if key in VOLATILE_STRING_KEYS:
             warnings.append(f"{path}: {base!r} -> {cand!r} (volatile, ok)")
@@ -101,12 +125,14 @@ def main():
             base = json.load(f)
         with open(args.candidate) as f:
             cand = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        deterministic = deterministic_keys(base)
+    except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"bench_diff: {e}", file=sys.stderr)
         return 1
 
     errors, warnings = [], []
-    diff(base, cand, "$", None, errors, warnings, args.rel_tol, args.abs_tol)
+    diff(base, cand, "$", None, errors, warnings, args.rel_tol, args.abs_tol,
+         deterministic)
 
     name = base.get("benchmark", args.baseline) if isinstance(base, dict) \
         else args.baseline

@@ -103,13 +103,14 @@ leg_bench() {
       --lookups-per-thread=1000 >/dev/null &&
     ./bench/bench_concurrency --json --pipeline --tasks=200 \
       --lookups-per-thread=250 >/dev/null &&
+    ./bench/bench_concurrency --json --writer-curve >/dev/null &&
     ./bench/bench_ann --json >/dev/null &&
     ./bench/bench_cluster --json --tasks=120 --threads=4 >/dev/null &&
     ./bench/bench_telemetry --json --iters=500000 --tasks=200 --threads=4 \
       --repeats=2 >/dev/null)
   local b
   for b in vector_ops concurrency concurrency_probe concurrency_pipeline \
-           ann cluster telemetry; do
+           writer ann cluster telemetry; do
     python3 scripts/bench_diff.py "BENCH_${b}.json" \
       "$CI_DIR/gcc-release/BENCH_${b}.json"
   done

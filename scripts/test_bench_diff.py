@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Self-test for scripts/bench_diff.py: wide vs tight band selection,
-shape mismatches (missing/added keys, list lengths, type changes),
+"""Self-test for scripts/bench_diff.py: wide vs tight band selection
+(name regex and per-baseline deterministic_keys declarations), shape
+mismatches (missing/added keys, list lengths, type changes),
 volatile-string handling, and end-to-end exit codes.
 
 Run directly (python3 scripts/test_bench_diff.py) or via ctest.
@@ -26,7 +27,7 @@ WIDE_ABS = 1e-6
 def run_diff(base, cand):
     errors, warnings = [], []
     bench_diff.diff(base, cand, "$", None, errors, warnings,
-                    WIDE_REL, WIDE_ABS)
+                    WIDE_REL, WIDE_ABS, bench_diff.deterministic_keys(base))
     return errors, warnings
 
 
@@ -62,6 +63,57 @@ class BandSelectionTest(unittest.TestCase):
         # p99_seconds (wide) passes at +50%; recall (tight) fails at -10%.
         self.assertEqual(len(errors), 1)
         self.assertIn("recall", errors[0])
+
+
+class DeclaredBandTest(unittest.TestCase):
+    def test_declared_key_gets_tight_band_despite_wide_name(self):
+        # A 2x virtual-clock hit-rate collapse must not pass.
+        base = {"deterministic_keys": ["hit_rate"],
+                "results": [{"hit_rate": 0.70, "throughput_rps": 100.0}]}
+        cand = {"deterministic_keys": ["hit_rate"],
+                "results": [{"hit_rate": 0.35, "throughput_rps": 60.0}]}
+        errors, _ = run_diff(base, cand)
+        self.assertEqual(len(errors), 1)
+        self.assertIn("hit_rate", errors[0])
+        self.assertIn("tight band", errors[0])
+
+    def test_undeclared_wide_name_keeps_wide_band(self):
+        errors, _ = run_diff({"hit_rate": 0.70}, {"hit_rate": 0.35})
+        self.assertEqual(errors, [])
+
+    def test_declaration_only_tightens(self):
+        # Declaring a key whose name is already tight changes nothing.
+        base = {"deterministic_keys": ["recall"], "recall": 0.90}
+        errors, _ = run_diff(base, {"deterministic_keys": ["recall"],
+                                    "recall": 0.80})
+        self.assertEqual(len(errors), 1)
+        self.assertIn("tight band", errors[0])
+
+    def test_dropping_the_declaration_fails(self):
+        base = {"deterministic_keys": ["hit_rate"], "hit_rate": 0.7}
+        errors, _ = run_diff(base, {"hit_rate": 0.7})
+        self.assertEqual(len(errors), 1)
+        self.assertIn("deterministic_keys", errors[0])
+
+    def test_malformed_declaration_rejected(self):
+        for bad in ("hit_rate", [1, 2], {"hit_rate": True}):
+            with self.assertRaises(ValueError):
+                bench_diff.deterministic_keys({"deterministic_keys": bad})
+
+    def test_committed_baselines_declare_their_replays(self):
+        root = Path(__file__).resolve().parent.parent
+        expected = {
+            "BENCH_concurrency.json": {"throughput_rps", "hit_rate",
+                                       "p99_latency_s"},
+            "BENCH_ann.json": {"self_hit_rate"},
+            "BENCH_vector_ops.json": {"bytes_per_vector"},
+            "BENCH_writer.json": {"resident_rows",
+                                  "rows_copied_per_publish",
+                                  "publishes_per_restore"},
+        }
+        for name, keys in expected.items():
+            doc = json.loads((root / name).read_text())
+            self.assertEqual(bench_diff.deterministic_keys(doc), keys, name)
 
 
 class ShapeMismatchTest(unittest.TestCase):
@@ -116,6 +168,17 @@ class EndToEndTest(unittest.TestCase):
         base = {"benchmark": "ann", "recall": 0.95, "qps": 1000.0}
         cand = {"benchmark": "ann", "recall": 0.70, "qps": 1000.0}
         self.assertEqual(self.run_main(base, cand), 1)
+
+    def test_declared_key_regression_exits_one(self):
+        base = {"benchmark": "c", "deterministic_keys": ["hit_rate"],
+                "hit_rate": 0.70}
+        cand = {"benchmark": "c", "deterministic_keys": ["hit_rate"],
+                "hit_rate": 0.60}
+        self.assertEqual(self.run_main(base, cand), 1)
+
+    def test_malformed_declaration_exits_one(self):
+        base = {"benchmark": "c", "deterministic_keys": "hit_rate"}
+        self.assertEqual(self.run_main(base, base), 1)
 
     def test_missing_file_exits_one(self):
         with mock.patch.object(sys, "argv",

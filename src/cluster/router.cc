@@ -642,6 +642,9 @@ Response ClusterRouter::DoMigrate(const Request& request) {
       break;
     }
     std::vector<SemanticElement> keep;
+    // The source's clock reading travels with its elements, so the joiner
+    // rebases their timestamps into its own clock on RESTORE.
+    std::optional<double> source_now;
     try {
       std::istringstream in(blob->message);
       serve::ForEachEngineSnapshotElement(in, [&](SemanticElement se) {
@@ -654,7 +657,7 @@ Response ClusterRouter::DoMigrate(const Request& request) {
             owners.end()) {
           keep.push_back(std::move(se));
         }
-      });
+      }, &source_now);
     } catch (const std::exception& e) {
       failure = "MIGRATE: bad snapshot from " + source->name() + ": " +
                 e.what();
@@ -662,7 +665,7 @@ Response ClusterRouter::DoMigrate(const Request& request) {
     }
     if (keep.empty()) continue;
     std::ostringstream packed;
-    serve::WriteEngineSnapshot(packed, keep);
+    serve::WriteEngineSnapshot(packed, keep, source_now);
     Request restore;
     restore.type = RequestType::kRestore;
     restore.blob = std::move(packed).str();

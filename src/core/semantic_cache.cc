@@ -208,8 +208,10 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
       se.expiration_time = now + options_.min_ttl_sec +
                            (options_.max_ttl_sec - options_.min_ttl_sec) *
                                (se.staticity - 1.0) / 9.0;
+      min_expiration_ = std::min(min_expiration_, se.expiration_time);
     }
     ++counters_.dedup_refreshes;
+    Journal(se.id);
     return se.id;
   }
 
@@ -259,12 +261,14 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
 
   usage_tokens_ += se.size_tokens;
   tenant_usage_[se.tenant].tokens += se.size_tokens;
+  min_expiration_ = std::min(min_expiration_, se.expiration_time);
   sine_.Insert(se);
   key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
   value_hash_to_id_.emplace(value_hash, se.id);
   const SeId id = se.id;
   store_.emplace(id, std::move(se));
   ++counters_.insertions;
+  Journal(id);
   return id;
 }
 
@@ -297,6 +301,7 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
         std::max(existing.expiration_time, se.expiration_time);
     existing.shareable = existing.shareable && se.shareable;
     ++counters_.dedup_refreshes;
+    Journal(existing.id);
     return existing.id;
   }
 
@@ -310,12 +315,14 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
   se.id = next_id_++;
   usage_tokens_ += se.size_tokens;
   tenant_usage_[se.tenant].tokens += se.size_tokens;
+  min_expiration_ = std::min(min_expiration_, se.expiration_time);
   sine_.Insert(se);
   key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
   value_hash_to_id_.emplace(value_hash, se.id);
   const SeId id = se.id;
   store_.emplace(id, std::move(se));
   ++counters_.insertions;
+  Journal(id);
   return id;
 }
 
@@ -335,11 +342,21 @@ bool SemanticCache::ContainsValue(std::string_view value) const {
 }
 
 std::size_t SemanticCache::RemoveExpired(double now) {
+  // Nothing resident can have expired yet: skip the scan.  When it does
+  // run it is the same loop in the same order as always, so which entries
+  // go (and when) is unchanged — only provably empty scans are skipped.
+  if (now < min_expiration_) return 0;
   std::vector<SeId> expired;
+  double survivor_min = std::numeric_limits<double>::infinity();
   for (const auto& [id, se] : store_) {
-    if (se.ExpiredAt(now)) expired.push_back(id);
+    if (se.ExpiredAt(now)) {
+      expired.push_back(id);
+    } else {
+      survivor_min = std::min(survivor_min, se.expiration_time);
+    }
   }
   for (SeId id : expired) RemoveInternal(id, /*expired=*/true);
+  min_expiration_ = survivor_min;
   return expired.size();
 }
 
@@ -436,6 +453,7 @@ void SemanticCache::RemoveInternal(SeId id, bool expired) {
   sine_.Remove(id);
   if (expired) ++counters_.expirations;
   store_.erase(it);
+  Journal(id);
 }
 
 bool SemanticCache::Remove(SeId id) {

@@ -10,10 +10,12 @@
 //     are periodically refreshed (§4.3's aging mechanism).
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/eviction.h"
 #include "core/sine.h"
@@ -181,7 +183,10 @@ class SemanticCache {
   // Value-identity presence probe (is this knowledge already resident?).
   bool ContainsValue(std::string_view value) const;
 
-  // TTL purge; returns the number of entries removed.
+  // TTL purge; returns the number of entries removed.  O(1) while `now`
+  // is below the resident expiration lower bound (nothing can have
+  // expired); otherwise one scan of the store, which also recomputes the
+  // bound.
   std::size_t RemoveExpired(double now);
 
   bool Remove(SeId id);
@@ -212,6 +217,22 @@ class SemanticCache {
     return store_;
   }
 
+  // Change journal (DESIGN.md §13.3).  Once enabled, every event that can
+  // change what a probe observes appends the SE's id: insert, removal
+  // (evict, expire, replace), a dedup refresh (renews expiration_time),
+  // and a promotion retag.  frequency/last_access bumps are not
+  // probe-relevant and are not journaled.  An id may appear more than
+  // once; the consumer reconciles each against the store's current state
+  // (Get(id) == nullptr means it is gone).  Off by default, so caches
+  // nobody drains never accumulate a journal.
+  void EnableJournal() noexcept { journal_enabled_ = true; }
+  // Moves the pending journal into `out` (whose previous contents are
+  // discarded; its capacity is recycled as the next journal buffer).
+  void DrainJournal(std::vector<SeId>& out) {
+    out.clear();
+    out.swap(journal_);
+  }
+
  private:
   // Tenant-aware eviction: victims come from the offending tenant's own
   // namespace first, then from tenants over their recorded budget, then
@@ -225,6 +246,9 @@ class SemanticCache {
   void EvictTenantDownTo(const std::string& tenant, double budget_tokens,
                          double now);
   void RemoveInternal(SeId id, bool expired);
+  void Journal(SeId id) {
+    if (journal_enabled_) journal_.push_back(id);
+  }
   // True when `tenant` may see (match / dedup onto) `se`.
   static bool VisibleTo(const SemanticElement& se,
                         std::string_view tenant) noexcept {
@@ -253,6 +277,11 @@ class SemanticCache {
   // Promotion evidence: value hash -> distinct shareable-inserting
   // tenants seen so far (bounded by promote_tracker_capacity).
   std::unordered_map<std::size_t, std::vector<std::string>> promote_seen_;
+  // Lower bound on every resident expiration_time: lowered whenever an
+  // SE's expiration is set, recomputed exactly by each RemoveExpired scan.
+  double min_expiration_ = std::numeric_limits<double>::infinity();
+  bool journal_enabled_ = false;
+  std::vector<SeId> journal_;
 };
 
 }  // namespace cortex

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <limits>
@@ -63,6 +64,14 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   probe_seconds_ = registry_->GetHistogram("cortex_engine_probe_seconds");
   commit_seconds_ = registry_->GetHistogram("cortex_engine_commit_seconds");
   insert_seconds_ = registry_->GetHistogram("cortex_engine_insert_seconds");
+  snapshot_publishes_ =
+      registry_->GetCounter("cortex_engine_snapshot_publishes");
+  snapshot_rows_copied_ =
+      registry_->GetCounter("cortex_engine_snapshot_rows_copied");
+  publish_seconds_ = registry_->GetHistogram("cortex_engine_publish_seconds");
+  limbo_rows_ = registry_->GetGauge("cortex_engine_limbo_rows");
+  restore_future_dated_ =
+      registry_->GetCounter("cortex_engine_restore_future_dated");
   cache_evictions_ = registry_->GetCounter("cortex_cache_evictions");
   cache_ttl_expiries_ = registry_->GetCounter("cortex_cache_ttl_expiries");
   cache_dedup_refreshes_ =
@@ -94,6 +103,10 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
     const std::string prefix =
         "cortex_engine_shard" + std::to_string(i) + "_";
     Shard& shard = *shards_.back();
+    if (options_.lock_free_probe) {
+      WriterLock lock(shard.mu);
+      shard.cache->EnableJournal();
+    }
     shard.hits = registry_->GetCounter(prefix + "hits");
     shard.misses = registry_->GetCounter(prefix + "misses");
     shard.judger_rejects = registry_->GetCounter(prefix + "judger_rejects");
@@ -166,108 +179,151 @@ void ConcurrentShardedEngine::ApplyCacheDeltas(Shard& shard,
   if (entries_delta != 0.0) cache_entries_->Add(entries_delta);
 }
 
-void ConcurrentShardedEngine::SyncProbeState(Shard& shard) {
-  // Rows whose grace period has passed go back to the slab free list, so
-  // this sync's adds can reuse them.  Limbo epochs are non-decreasing —
-  // draining is a prefix pop.
+void ConcurrentShardedEngine::PublishSnapshot(Shard& shard) {
+  // Slots whose grace period has passed free their record and return
+  // their row to the slab free list, so this publish's appends can reuse
+  // them.  Limbo stamps are non-decreasing — reclaiming is a prefix pop.
   const std::uint64_t safe = epoch_.safe_epoch();
-  while (!shard.limbo.empty() && shard.limbo.front().first <= safe) {
-    shard.scan_slab.Free(shard.limbo.front().second);
+  std::size_t reclaimed = 0;
+  while (!shard.limbo.empty() && shard.limbo.front().epoch <= safe) {
+    shard.scan_slab.Free(shard.limbo.front().slot.row);
     shard.limbo.pop_front();
+    ++reclaimed;
   }
+  if (reclaimed > 0) limbo_rows_->Add(-static_cast<double>(reclaimed));
 
-  // Reconcile resident rows against the cache store.  A record is stale
-  // when its id vanished or its probe fingerprint — (created_at,
-  // expiration_time, tenant) — changed (dedup refresh renews the TTL,
-  // promotion retags the tenant; key/value/embedding are immutable per
-  // id).  Stale rows are unlinked (not freed — a published snapshot may
-  // still reference them) and re-added fresh.
-  const auto& entries = shard.cache->entries();
-  std::vector<std::uint32_t> unlinked;
-  for (auto it = shard.resident.begin(); it != shard.resident.end();) {
-    const auto e = entries.find(it->first);
-    const ProbeRecord& rec = *it->second.record;
-    if (e == entries.end() || e->second.created_at != rec.created_at ||
-        e->second.expiration_time != rec.expiration_time ||
-        e->second.tenant != rec.tenant) {
-      unlinked.push_back(it->second.row);
-      it = shard.resident.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  bool changed = !unlinked.empty();
-  for (const auto& [id, se] : entries) {
-    if (shard.resident.contains(id)) continue;
-    auto record = std::make_shared<const ProbeRecord>(
-        ProbeRecord{id, se.key, se.value, se.tenant, se.created_at,
-                    se.expiration_time, se.embedding});
-    const std::uint32_t row = shard.scan_slab.Add(se.embedding);
-    shard.resident.emplace(id, Shard::ResidentRow{std::move(record), row});
-    changed = true;
-  }
-
-  // Republish when membership changed OR the sine thresholds moved (they
-  // are frozen into the snapshot at publish time).
+  shard.cache->DrainJournal(shard.journal);
   const ShardSnapshot* cur = shard.snapshot.load(std::memory_order_seq_cst);
   const SineOptions& live = shard.cache->sine().options();
-  if (changed || cur == nullptr || cur->sine.tau_lsm != live.tau_lsm ||
-      cur->sine.tau_sim != live.tau_sim) {
-    auto* snap = new ShardSnapshot;
-    snap->format = shard.scan_slab.format();
-    snap->dim = shard.scan_slab.dim();
-    snap->sine = live;
-    const std::size_t n = shard.resident.size();
-    snap->records.reserve(n);
-    switch (snap->format) {
-      case RowFormat::kF32:
-        snap->rows_f32.reserve(n);
-        break;
-      case RowFormat::kF16:
-        snap->rows_f16.reserve(n);
-        break;
-      case RowFormat::kI8:
-        snap->rows_i8.reserve(n);
-        snap->scales_i8.reserve(n);
-        break;
-    }
-    for (const auto& [id, rr] : shard.resident) {
-      snap->records.push_back(rr.record);
-      switch (snap->format) {
-        case RowFormat::kF32:
-          snap->rows_f32.push_back(shard.scan_slab.Row(rr.row));
-          break;
-        case RowFormat::kF16:
-          snap->rows_f16.push_back(shard.scan_slab.RowF16(rr.row));
-          break;
-        case RowFormat::kI8:
-          snap->rows_i8.push_back(shard.scan_slab.RowI8(rr.row));
-          snap->scales_i8.push_back(shard.scan_slab.RowScale(rr.row));
-          break;
-      }
-    }
-    const ShardSnapshot* old =
-        shard.snapshot.exchange(snap, std::memory_order_seq_cst);
-    if (old != nullptr) epoch_.Retire([old] { delete old; });
+  const bool tau_moved = cur == nullptr || cur->sine.tau_lsm != live.tau_lsm ||
+                         cur->sine.tau_sim != live.tau_sim;
+  if (shard.journal.empty() && !tau_moved) return;
+
+  const double t0 = telemetry::WallSeconds();
+  // The previous arrays, copied wholesale (trivially copyable: one memcpy
+  // each), then patched slot by slot.  The destination is the recycled
+  // spare when one has come back from the grace period: copy-assignment
+  // into its capacity allocates nothing and writes warm memory.
+  // Capacity is reserved for every append up front, so the copy is the
+  // only pass over the arrays.
+  ShardSnapshot* snap =
+      shard.spare.exchange(nullptr, std::memory_order_acquire);
+  if (snap == nullptr) snap = new ShardSnapshot;
+  const std::size_t copied = cur != nullptr ? cur->size() : 0;
+  snap->format = shard.scan_slab.format();
+  snap->dim = shard.scan_slab.dim();
+  snap->sine = live;
+  const auto copy = [&](auto& dst, const auto& src) {
+    dst.clear();
+    if (src.empty()) return;  // a row format this shard does not scan
+    dst.reserve(copied + shard.journal.size());
+    dst.assign(src.begin(), src.end());
+  };
+  if (cur != nullptr) {
+    copy(snap->records, cur->records);
+    copy(snap->rows_f32, cur->rows_f32);
+    copy(snap->rows_f16, cur->rows_f16);
+    copy(snap->rows_i8, cur->rows_i8);
+    copy(snap->scales_i8, cur->scales_i8);
   }
 
-  // Stamp unlinked rows AFTER the exchange: a reader that loaded the old
+  // Swap-remove slot i from the owners and from every array this
+  // snapshot scans (the other formats' arrays are empty).
+  const auto unlink = [&](std::uint32_t i) {
+    const auto swap_remove = [i](auto& a) {
+      if (a.empty()) return;
+      if (i + 1 != a.size()) a[i] = std::move(a.back());
+      a.pop_back();
+    };
+    swap_remove(shard.slots);
+    swap_remove(snap->records);
+    swap_remove(snap->rows_f32);
+    swap_remove(snap->rows_f16);
+    swap_remove(snap->rows_i8);
+    swap_remove(snap->scales_i8);
+    if (i < snap->records.size()) shard.resident[snap->records[i]->id] = i;
+  };
+
+  // Reconcile each journaled id against the store.  A slot is stale when
+  // its id vanished or its probe fingerprint — (created_at,
+  // expiration_time, tenant) — changed (dedup refresh renews the TTL,
+  // promotion retags the tenant; key/value/embedding are immutable per
+  // id).  Stale slots are unlinked (not freed — the previous snapshot may
+  // still be scanned) and the id re-appended fresh.  An id journaled
+  // twice is a no-op the second time: its fresh slot already matches.
+  std::vector<Shard::Slot> unlinked;
+  for (const SeId id : shard.journal) {
+    const SemanticElement* se = shard.cache->Get(id);
+    if (const auto it = shard.resident.find(id); it != shard.resident.end()) {
+      const std::uint32_t i = it->second;
+      const ProbeRecord& rec = *shard.slots[i].record;
+      if (se != nullptr && se->created_at == rec.created_at &&
+          se->expiration_time == rec.expiration_time &&
+          se->tenant == rec.tenant) {
+        continue;
+      }
+      shard.resident.erase(it);
+      unlinked.push_back(std::move(shard.slots[i]));
+      unlink(i);
+    }
+    if (se == nullptr) continue;
+    auto record = std::make_unique<const ProbeRecord>(
+        ProbeRecord{id, se->key, se->value, se->tenant, se->created_at,
+                    se->expiration_time, se->embedding});
+    const std::uint32_t row = shard.scan_slab.Add(se->embedding);
+    snap->records.push_back(record.get());
+    switch (snap->format) {
+      case RowFormat::kF32:
+        snap->rows_f32.push_back(shard.scan_slab.Row(row));
+        break;
+      case RowFormat::kF16:
+        snap->rows_f16.push_back(shard.scan_slab.RowF16(row));
+        break;
+      case RowFormat::kI8:
+        snap->rows_i8.push_back(shard.scan_slab.RowI8(row));
+        snap->scales_i8.push_back(shard.scan_slab.RowScale(row));
+        break;
+    }
+    shard.resident[id] = static_cast<std::uint32_t>(shard.slots.size());
+    shard.slots.push_back({std::move(record), row});
+  }
+
+  const ShardSnapshot* old =
+      shard.snapshot.exchange(snap, std::memory_order_seq_cst);
+  if (old != nullptr) {
+    // Past its grace period the old snapshot becomes the shard's spare
+    // (the one it displaces, if any, is freed).
+    epoch_.Retire([&shard, old] {
+      delete shard.spare.exchange(const_cast<ShardSnapshot*>(old),
+                                  std::memory_order_acq_rel);
+    });
+  }
+
+  // Stamp unlinked slots AFTER the exchange: a reader that loaded the old
   // snapshot entered at an epoch <= the epoch at exchange time, so a
   // post-exchange stamp (like EpochDomain::Retire's own) is the earliest
   // that is provably safe — a pre-exchange stamp could be one epoch low
-  // if the flusher advanced in between, reusing a row one grace period
-  // early while a straggler still scans it.
+  // if the flusher advanced in between, freeing a record or reusing a row
+  // one grace period early while a straggler still reads it.
   if (!unlinked.empty()) {
     const std::uint64_t unlink_epoch = epoch_.current_epoch();
-    for (const std::uint32_t row : unlinked) {
-      shard.limbo.emplace_back(unlink_epoch, row);
+    for (Shard::Slot& slot : unlinked) {
+      shard.limbo.push_back({unlink_epoch, std::move(slot)});
     }
+    limbo_rows_->Add(static_cast<double>(unlinked.size()));
   }
 
-  // Bound deferred garbage between housekeeping ticks (and entirely when
-  // the housekeeping thread is disabled).  kEpochRetire (70) ranks above
+  snapshot_publishes_->Inc();
+  snapshot_rows_copied_->Inc(copied);
+  publish_seconds_->Observe(telemetry::WallSeconds() - t0);
+
+  // Reclaim promptly: a retired snapshot is a full copy of the slot
+  // arrays (20 bytes per row), so letting dozens pile up between
+  // housekeeping ticks (or forever, with the thread disabled) turns every
+  // publish's copy into fresh, cold memory.  A flush with no readers in
+  // flight is a short slot scan.  kEpochRetire (70) ranks above
   // kEngineShard (50), so flushing while holding shard.mu is in order.
-  if (epoch_.pending_retired() > 64) epoch_.Flush();
+  if (epoch_.pending_retired() > 2) epoch_.Flush();
 }
 
 SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
@@ -456,19 +512,13 @@ void ConcurrentShardedEngine::LookupBatch(
     groups[s].push_back(static_cast<std::uint32_t>(i));
   }
 
-  // ---- Stage 1b: per shard, ONE epoch-guarded section runs the
-  // multi-query scan (slab bytes read once per batch) plus each query's
-  // exact rerank.  Survivors are re-homed to shared_ptr copies before the
-  // guard drops — bounded at top_k per request, so the refcount traffic
-  // that sank the old sequential design stays negligible — which lets
-  // stage 2 run unguarded and back-to-back.
-  struct Survivor {
-    double sim;
-    std::shared_ptr<const ProbeRecord> record;
-  };
-  std::vector<std::vector<Survivor>> survivors(nq);
-  std::vector<SineOptions> sine(nq);
-  std::vector<char> have_snapshot(nq, 0);
+  // ---- Stages 1b + 2: per shard, ONE epoch-guarded section runs the
+  // multi-query scan (slab bytes read once per batch), then each query's
+  // exact rerank and judger walk over borrowed records — the same
+  // SnapshotRankFromSims + SnapshotJudge the sequential probe runs, so
+  // verdicts and hit decisions are identical.  The judger is a pure
+  // in-process model, so holding the guard across it is cheap.
+  std::vector<SemanticCache::LookupResult> results(nq);
   std::vector<double> ann_share(nq, 0.0);
   thread_local std::vector<float> group_storage;
   thread_local std::vector<float> sims;
@@ -484,55 +534,35 @@ void ConcurrentShardedEngine::LookupBatch(
       std::copy_n(matrix + group[j] * qstride, dim, gq + j * qstride);
     }
     const double scan_t0 = telemetry::WallSeconds();
-    {
-      EpochReadGuard guard(epoch_);
-      const ShardSnapshot* snap =
-          shard.snapshot.load(std::memory_order_seq_cst);
-      if (snap != nullptr) {
-        const std::size_t n = snap->size();
-        sims.resize(gn * n);
-        SnapshotScanMq(*snap, gq, gn, qstride, scratch, sims.data());
-        for (std::size_t j = 0; j < gn; ++j) {
-          const std::uint32_t i = group[j];
-          have_snapshot[i] = 1;
-          sine[i] = snap->sine;
-          SnapshotRankFromSims(
-              *snap, std::span<const float>(gq + j * qstride, dim),
-              sims.data() + j * n, scratch);
-          auto& out = survivors[i];
-          out.reserve(scratch.ranked.size());
-          for (const RankedCandidate& c : scratch.ranked) {
-            out.push_back({c.sim, snap->records[c.index]});
-          }
-        }
-      }
+    EpochReadGuard guard(epoch_);
+    const ShardSnapshot* snap = shard.snapshot.load(std::memory_order_seq_cst);
+    const std::size_t n = snap != nullptr ? snap->size() : 0;
+    if (snap != nullptr) {
+      sims.resize(gn * n);
+      SnapshotScanMq(*snap, gq, gn, qstride, scratch, sims.data());
     }
     const double scan_share =
         (telemetry::WallSeconds() - scan_t0) / static_cast<double>(gn);
-    for (const std::uint32_t i : group) ann_share[i] = scan_share;
-  }
-
-  // ---- Stage 2: judge every request in original batch order.  Same
-  // SnapshotJudge the sequential probe runs, over the same exact-ranked
-  // candidates, so verdicts and hit decisions are identical.
-  std::vector<SemanticCache::LookupResult> results(nq);
-  thread_local std::vector<RankedCandidate> ranked;
-  for (std::size_t i = 0; i < nq; ++i) {
-    BatchLookupRequest& r = batch[i];
-    Vector query_embedding(matrix + i * qstride, matrix + i * qstride + dim);
-    const double judge_t0 = telemetry::WallSeconds();
-    if (have_snapshot[i]) {
-      ranked.clear();
-      for (const Survivor& sv : survivors[i]) {
-        ranked.push_back({sv.sim, sv.record.get(), 0});
+    for (std::size_t j = 0; j < gn; ++j) {
+      const std::uint32_t i = group[j];
+      BatchLookupRequest& r = batch[i];
+      Vector query_embedding(gq + j * qstride, gq + j * qstride + dim);
+      if (snap == nullptr) {
+        results[i].query_embedding = std::move(query_embedding);
+        ann_share[i] = scan_share;
+        continue;
       }
-      results[i] = SnapshotJudge(ranked, sine[i], std::move(query_embedding),
-                                 r.query, now, r.tenant, judger_);
-    } else {
-      results[i].query_embedding = std::move(query_embedding);
+      const double rank_t0 = telemetry::WallSeconds();
+      SnapshotRankFromSims(*snap, std::span<const float>(gq + j * qstride, dim),
+                           sims.data() + j * n, scratch);
+      const double judge_t0 = telemetry::WallSeconds();
+      ann_share[i] = scan_share + (judge_t0 - rank_t0);
+      results[i] = SnapshotJudge(scratch.ranked, snap->sine,
+                                 std::move(query_embedding), r.query, now,
+                                 r.tenant, judger_);
+      r.judger_seconds = telemetry::WallSeconds() - judge_t0;
+      r.judger_calls = results[i].sine.judger_calls;
     }
-    r.judger_seconds = telemetry::WallSeconds() - judge_t0;
-    r.judger_calls = results[i].sine.judger_calls;
   }
 
   // ---- Commit per shard: one exclusive section per PROBED SHARD instead
@@ -641,7 +671,7 @@ std::optional<SeId> ConcurrentShardedEngine::Insert(
       tenant_evictions_delta = shard.cache->TenantUsageFor(tenant).evictions -
                                tenant_evictions_before;
     }
-    if (options_.lock_free_probe) SyncProbeState(shard);
+    if (options_.lock_free_probe) PublishSnapshot(shard);
   }
   const double insert_end = telemetry::WallSeconds();
   insert_seconds_->Observe(insert_end - insert_t0);
@@ -690,7 +720,7 @@ std::size_t ConcurrentShardedEngine::RemoveExpired() {
       usage_delta = shard->cache->usage_tokens() - usage_before;
       entries_delta = static_cast<double>(shard->cache->size()) -
                       static_cast<double>(size_before);
-      if (options_.lock_free_probe) SyncProbeState(*shard);
+      if (options_.lock_free_probe) PublishSnapshot(*shard);
     }
     ApplyCacheDeltas(*shard, before, after, usage_delta, entries_delta);
   }
@@ -702,13 +732,18 @@ namespace {
 
 // Engine snapshot framing: a tiny header in front of one core/snapshot
 // stream per shard.  Native endianness, same policy as core/snapshot.
+//   v1: magic, version, u64 shard count.
+//   v2: magic, version, f64 writer clock (NaN = none), u64 shard count.
 inline constexpr std::uint32_t kEngineSnapshotMagic = 0x43525853;  // "CRXS"
-inline constexpr std::uint32_t kEngineSnapshotVersion = 1;
+inline constexpr std::uint32_t kEngineSnapshotVersion = 2;
 
 void WriteRawU32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 void WriteRawU64(std::ostream& out, std::uint64_t v) {
+  out.write(reinterpret_cast<const char*>(&v), sizeof v);
+}
+void WriteRawF64(std::ostream& out, double v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 std::uint32_t ReadRawU32(std::istream& in) {
@@ -721,35 +756,65 @@ std::uint64_t ReadRawU64(std::istream& in) {
   in.read(reinterpret_cast<char*>(&v), sizeof v);
   return v;
 }
+double ReadRawF64(std::istream& in) {
+  double v = 0;
+  in.read(reinterpret_cast<char*>(&v), sizeof v);
+  return v;
+}
+
+void WriteEngineHeader(std::ostream& out, std::optional<double> writer_now,
+                       std::uint64_t shard_count) {
+  WriteRawU32(out, kEngineSnapshotMagic);
+  WriteRawU32(out, kEngineSnapshotVersion);
+  WriteRawF64(out, writer_now.value_or(
+                       std::numeric_limits<double>::quiet_NaN()));
+  WriteRawU64(out, shard_count);
+}
+
+struct EngineHeader {
+  std::optional<double> writer_now;
+  std::uint64_t shard_count = 0;
+};
+
+EngineHeader ReadEngineHeader(std::istream& in) {
+  if (ReadRawU32(in) != kEngineSnapshotMagic) {
+    throw std::runtime_error("engine snapshot: bad magic");
+  }
+  const auto version = ReadRawU32(in);
+  if (version != 1 && version != kEngineSnapshotVersion) {
+    throw std::runtime_error("engine snapshot: unsupported version " +
+                             std::to_string(version));
+  }
+  EngineHeader header;
+  if (version >= 2) {
+    const double writer_now = ReadRawF64(in);
+    if (std::isfinite(writer_now)) header.writer_now = writer_now;
+  }
+  header.shard_count = ReadRawU64(in);
+  if (!in.good() || header.shard_count > 4096) {
+    throw std::runtime_error("engine snapshot: malformed header");
+  }
+  return header;
+}
 
 }  // namespace
 
 std::uint64_t ForEachEngineSnapshotElement(
-    std::istream& in, const std::function<void(SemanticElement)>& fn) {
-  if (ReadRawU32(in) != kEngineSnapshotMagic) {
-    throw std::runtime_error("engine snapshot: bad magic");
-  }
-  if (const auto version = ReadRawU32(in);
-      version != kEngineSnapshotVersion) {
-    throw std::runtime_error("engine snapshot: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto shard_count = ReadRawU64(in);
-  if (!in.good() || shard_count > 4096) {
-    throw std::runtime_error("engine snapshot: malformed header");
-  }
+    std::istream& in, const std::function<void(SemanticElement)>& fn,
+    std::optional<double>* writer_now) {
+  const EngineHeader header = ReadEngineHeader(in);
+  if (writer_now != nullptr) *writer_now = header.writer_now;
   std::uint64_t visited = 0;
-  for (std::uint64_t i = 0; i < shard_count; ++i) {
+  for (std::uint64_t i = 0; i < header.shard_count; ++i) {
     visited += ForEachSnapshotElement(in, fn);
   }
   return visited;
 }
 
 void WriteEngineSnapshot(std::ostream& out,
-                         const std::vector<SemanticElement>& elements) {
-  WriteRawU32(out, kEngineSnapshotMagic);
-  WriteRawU32(out, kEngineSnapshotVersion);
-  WriteRawU64(out, 1);
+                         const std::vector<SemanticElement>& elements,
+                         std::optional<double> writer_now) {
+  WriteEngineHeader(out, writer_now, 1);
   WriteSnapshotHeader(out, elements.size());
   for (const SemanticElement& se : elements) {
     WriteSnapshotElement(out, se);
@@ -761,9 +826,12 @@ void WriteEngineSnapshot(std::ostream& out,
 
 SnapshotStats ConcurrentShardedEngine::SaveSnapshot(std::ostream& out) const {
   SnapshotStats stats;
-  WriteRawU32(out, kEngineSnapshotMagic);
-  WriteRawU32(out, kEngineSnapshotVersion);
-  WriteRawU64(out, shards_.size());
+  // The clock is read before any shard streams out.  An SE inserted while
+  // the shards stream can carry a timestamp up to the save's duration
+  // past this reading; it restores that far future-dated (counted in
+  // cortex_engine_restore_future_dated) and turns visible once the
+  // reader's clock catches up.
+  WriteEngineHeader(out, clock_(), shards_.size());
   for (const auto& shard : shards_) {
     ReaderLock lock(shard->mu);
     const SnapshotStats shard_stats = SaveCacheSnapshot(*shard->cache, out);
@@ -776,32 +844,41 @@ SnapshotStats ConcurrentShardedEngine::SaveSnapshot(std::ostream& out) const {
 }
 
 SnapshotStats ConcurrentShardedEngine::LoadSnapshot(std::istream& in) {
-  if (ReadRawU32(in) != kEngineSnapshotMagic) {
-    throw std::runtime_error("engine snapshot: bad magic");
-  }
-  if (const auto version = ReadRawU32(in);
-      version != kEngineSnapshotVersion) {
-    throw std::runtime_error("engine snapshot: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto shard_count = ReadRawU64(in);
-  if (!in.good() || shard_count > 4096) {
-    throw std::runtime_error("engine snapshot: malformed header");
-  }
+  const EngineHeader header = ReadEngineHeader(in);
   SnapshotStats stats;
+  // One `now` for the whole restore: the first element into a shard purges
+  // that shard's expired residents, after which the cache's expiration
+  // bound is above `now` and no later element rescans the store.
   const double now = clock_();
-  for (std::uint64_t i = 0; i < shard_count; ++i) {
+  const double shift = header.writer_now ? now - *header.writer_now : 0.0;
+  std::vector<char> touched(shards_.size(), 0);
+  for (std::uint64_t i = 0; i < header.shard_count; ++i) {
     ForEachSnapshotElement(in, [&](SemanticElement se) {
+      se.created_at += shift;
+      se.last_access += shift;
+      se.expiration_time += shift;
       if (se.ExpiredAt(now)) {
         ++stats.entries_expired;
         return;
       }
-      if (RestoreElement(std::move(se))) {
+      const bool future_dated = se.created_at > now;
+      const std::size_t s = ShardFor(se.key);
+      touched[s] = 1;
+      if (RestoreIntoShard(*shards_[s], std::move(se), now,
+                           /*publish=*/false)) {
         ++stats.entries_restored;
+        if (future_dated) restore_future_dated_->Inc();
       } else {
         ++stats.entries_rejected;
       }
     });
+  }
+  if (options_.lock_free_probe) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (!touched[s]) continue;
+      WriterLock lock(shards_[s]->mu);
+      PublishSnapshot(*shards_[s]);
+    }
   }
   return stats;
 }
@@ -809,7 +886,11 @@ SnapshotStats ConcurrentShardedEngine::LoadSnapshot(std::istream& in) {
 std::optional<SeId> ConcurrentShardedEngine::RestoreElement(
     SemanticElement se) {
   Shard& shard = *shards_[ShardFor(se.key)];
-  const double now = clock_();
+  return RestoreIntoShard(shard, std::move(se), clock_(), /*publish=*/true);
+}
+
+std::optional<SeId> ConcurrentShardedEngine::RestoreIntoShard(
+    Shard& shard, SemanticElement se, double now, bool publish) {
   CacheCounters before, after;
   double usage_delta = 0.0;
   double entries_delta = 0.0;
@@ -824,7 +905,7 @@ std::optional<SeId> ConcurrentShardedEngine::RestoreElement(
     usage_delta = shard.cache->usage_tokens() - usage_before;
     entries_delta = static_cast<double>(shard.cache->size()) -
                     static_cast<double>(size_before);
-    if (options_.lock_free_probe) SyncProbeState(shard);
+    if (publish && options_.lock_free_probe) PublishSnapshot(shard);
   }
   ApplyCacheDeltas(shard, before, after, usage_delta, entries_delta);
   return id;
@@ -850,7 +931,7 @@ bool ConcurrentShardedEngine::RecalibrateShard(Shard& shard) {
     shard.cache->sine().set_tau_lsm(*round.new_tau);
     // Thresholds are frozen into the published snapshot; republish so
     // lock-free probes judge against the recalibrated tau.
-    if (options_.lock_free_probe) SyncProbeState(shard);
+    if (options_.lock_free_probe) PublishSnapshot(shard);
     return true;
   }
   return false;
@@ -894,6 +975,25 @@ void ConcurrentShardedEngine::HousekeepingLoop() {
     epoch_.Flush();
     lk.lock();
   }
+}
+
+std::vector<SeId> ConcurrentShardedEngine::PublishedIds(std::size_t shard) {
+  std::vector<SeId> ids;
+  EpochReadGuard guard(epoch_);
+  const ShardSnapshot* snap =
+      shards_.at(shard)->snapshot.load(std::memory_order_seq_cst);
+  if (snap != nullptr) {
+    for (const ProbeRecord* rec : snap->records) ids.push_back(rec->id);
+  }
+  return ids;
+}
+
+std::vector<SeId> ConcurrentShardedEngine::StoreIds(std::size_t shard) const {
+  std::vector<SeId> ids;
+  const Shard& s = *shards_.at(shard);
+  ReaderLock lock(s.mu);
+  for (const auto& [id, se] : s.cache->entries()) ids.push_back(id);
+  return ids;
 }
 
 ConcurrentEngineStats ConcurrentShardedEngine::Stats() const {

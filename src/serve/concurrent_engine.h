@@ -6,10 +6,13 @@
 //     publishes an immutable ShardSnapshot — quantized scan rows plus
 //     probe-relevant record copies — through a seq_cst atomic pointer;
 //     readers pin it with an EpochReadGuard and never touch the shard
-//     mutex for the expensive part (scan + judger).  Writers rebuild and
-//     republish under the exclusive lock and retire the old snapshot to
-//     the engine's EpochDomain.  With lock_free_probe=false, lookups fall
-//     back to taking the shared lock for the probe instead.  Either way
+//     mutex for the expensive part (scan + judger).  Writers drain the
+//     cache's change journal under the exclusive lock, publish a copy of
+//     the previous snapshot patched with just those changes, and retire
+//     the old snapshot to the engine's EpochDomain — a write costs
+//     O(changed) plus one memcpy of the slot arrays.  With
+//     lock_free_probe=false, lookups fall back to taking the shared lock
+//     for the probe instead.  Either way
 //     the cheap commit (counters, frequency bump) upgrades to the
 //     exclusive lock; insert/evict/expire take the exclusive lock
 //     outright;
@@ -144,15 +147,31 @@ struct BatchLookupRequest {
 // node's LoadSnapshot re-routes by key, so shard layouts never have to
 // match across the wire.
 
-// Invokes `fn` for every element of an engine snapshot stream.  Returns
-// elements visited; throws std::runtime_error on malformed input.
+//
+// Element timestamps (created_at, last_access, expiration_time) are in
+// the WRITER's engine clock.  Version-2 blobs carry that clock's reading
+// at write time, and LoadSnapshot rebases every timestamp into the local
+// clock by (local_now - writer_now), so age and remaining TTL survive the
+// hop between processes whose clocks started at different times.  A
+// blob without a reading (version 1, or written with writer_now unset)
+// restores its timestamps unchanged.
+
+// Invokes `fn` for every element of an engine snapshot stream.  When
+// `writer_now` is non-null it receives the header's writer-clock reading
+// (nullopt for a blob that carries none).  Returns elements visited;
+// throws std::runtime_error on malformed input.
 std::uint64_t ForEachEngineSnapshotElement(
-    std::istream& in, const std::function<void(SemanticElement)>& fn);
+    std::istream& in, const std::function<void(SemanticElement)>& fn,
+    std::optional<double>* writer_now = nullptr);
 
 // Writes `elements` as a one-shard engine snapshot readable by
-// LoadSnapshot on an engine of any shard count.
+// LoadSnapshot on an engine of any shard count.  `writer_now` is the
+// clock the element timestamps are expressed in (pass through what
+// ForEachEngineSnapshotElement reported when re-packing a stream); leave
+// it unset for externally built elements, which then restore verbatim.
 void WriteEngineSnapshot(std::ostream& out,
-                         const std::vector<SemanticElement>& elements);
+                         const std::vector<SemanticElement>& elements,
+                         std::optional<double> writer_now = std::nullopt);
 
 class ConcurrentShardedEngine {
  public:
@@ -221,8 +240,12 @@ class ConcurrentShardedEngine {
 
   // Restores a snapshot written by any engine, whatever its shard count:
   // every element is re-routed by ShardFor(key) here, so a 4-shard node can
-  // load a 2-shard peer's state.  Entries dedup/expire under the usual
-  // RestoreElement rules.  Throws std::runtime_error on malformed input.
+  // load a 2-shard peer's state.  Timestamps are rebased into this
+  // engine's clock when the blob carries its writer's clock (see above).
+  // Entries dedup/expire under the usual RestoreElement rules, in stream
+  // order, all at one `now`; each touched shard then publishes its probe
+  // snapshot ONCE, so a RESTORE of n SEs costs O(n), not O(n^2).  Throws
+  // std::runtime_error on malformed input.
   SnapshotStats LoadSnapshot(std::istream& in);
 
   // Re-admits one fully-populated SE into its owning shard, preserving
@@ -263,6 +286,13 @@ class ConcurrentShardedEngine {
 
   ConcurrentEngineStats Stats() const;
 
+  // Diagnostics for the lock-free probe's consistency: the SE ids in
+  // `shard`'s published snapshot (empty with lock_free_probe=false), and
+  // the ids resident in its cache store.  After every write returns, the
+  // two sets are equal.
+  std::vector<SeId> PublishedIds(std::size_t shard);
+  std::vector<SeId> StoreIds(std::size_t shard) const;
+
   // Shard-by-shard locked aggregates (consistent per shard, not globally).
   CacheCounters TotalCounters() const;
   std::size_t TotalSize() const;
@@ -286,21 +316,37 @@ class ConcurrentShardedEngine {
     // contract requires seq_cst on both sides).  nullptr until the first
     // publish (readers treat that as an empty shard).
     std::atomic<const ShardSnapshot*> snapshot{nullptr};
+    // A retired snapshot whose grace period has passed, kept as the next
+    // publish's copy destination so steady-state publishes reuse its
+    // array capacity.  Written by retire callbacks (whichever thread
+    // flushes the epoch domain), taken by the publisher.
+    std::atomic<ShardSnapshot*> spare{nullptr};
     // Quantized scan rows.  Row contents are immutable once published in
     // a snapshot — a changed entry gets a NEW row; the old one parks in
     // `limbo` until the grace period passes, then returns to the free
     // list.  Rows never move (slab chunks are stable), so snapshot row
     // pointers stay valid throughout.
     VectorSlab scan_slab GUARDED_BY(mu);
-    struct ResidentRow {
-      std::shared_ptr<const ProbeRecord> record;
+    // Owner of one published slot: the record the snapshot borrows and
+    // its slab row.  `slots[i]` backs index i of the current snapshot's
+    // arrays.
+    struct Slot {
+      std::unique_ptr<const ProbeRecord> record;
       std::uint32_t row = 0;
     };
-    // id -> (record, slab row) for every SE currently in the cache store.
-    std::unordered_map<SeId, ResidentRow> resident GUARDED_BY(mu);
-    // (retire-epoch, row) for rows unlinked from the current snapshot;
-    // epochs are non-decreasing, so draining is a prefix pop.
-    std::deque<std::pair<std::uint64_t, std::uint32_t>> limbo GUARDED_BY(mu);
+    std::vector<Slot> slots GUARDED_BY(mu);
+    // id -> slot index for every SE in the published snapshot.
+    std::unordered_map<SeId, std::uint32_t> resident GUARDED_BY(mu);
+    // Slots unlinked from the published arrays, stamped with the epoch
+    // current at unlink (after the snapshot exchange).  Stamps are
+    // non-decreasing, so reclaiming is a prefix pop.
+    struct Unlinked {
+      std::uint64_t epoch = 0;
+      Slot slot;
+    };
+    std::deque<Unlinked> limbo GUARDED_BY(mu);
+    // Drain buffer for the cache's change journal (capacity recycled).
+    std::vector<SeId> journal GUARDED_BY(mu);
 
     // Per-shard registry handles (cortex_engine_shard<i>_*).  The
     // instruments are internally thread-safe; no lock needed to update.
@@ -315,6 +361,7 @@ class ConcurrentShardedEngine {
           recalibrator(ropts),
           rng(seed),
           scan_slab(dim, format) {}
+    ~Shard() { delete spare.load(std::memory_order_acquire); }
   };
 
   // Waits on hk_cv_ through a std::unique_lock, which clang's analysis
@@ -323,13 +370,19 @@ class ConcurrentShardedEngine {
   void HousekeepingLoop() NO_THREAD_SAFETY_ANALYSIS;
   bool RecalibrateShard(Shard& shard) EXCLUDES(fetch_gt_mu_);
 
-  // Reconciles the shard's probe state against its cache store and, when
-  // anything probe-relevant changed, publishes a fresh ShardSnapshot
-  // (retiring the old one).  Callers hold the exclusive lock and invoke
-  // this after EVERY mutation that can change probe results — insert,
-  // restore, TTL purge, recalibration.  CommitLookup deliberately does
-  // not: frequency/last_access are not probe-relevant.
-  void SyncProbeState(Shard& shard) REQUIRES(shard.mu);
+  // Drains the cache's change journal and, when a journaled id's probe
+  // fingerprint changed or the sine thresholds moved, publishes a new
+  // ShardSnapshot: a copy of the previous arrays with only the changed
+  // slots swap-removed / appended (retiring the old snapshot, parking
+  // unlinked slots in limbo).  Callers hold the exclusive lock and invoke
+  // this after mutations that can change probe results — insert, restore,
+  // TTL purge, recalibration.  CommitLookup deliberately does not:
+  // frequency/last_access are not probe-relevant and are not journaled.
+  void PublishSnapshot(Shard& shard) REQUIRES(shard.mu);
+  // Restores one SE into `shard` at `now`; publishes only when `publish`
+  // (LoadSnapshot defers to one publish per touched shard).
+  std::optional<SeId> RestoreIntoShard(Shard& shard, SemanticElement se,
+                                       double now, bool publish);
   // The epoch-protected probe (phases 1+2); returns the same LookupResult
   // the locked SemanticCache::Probe produces.  Takes no shard lock.
   SemanticCache::LookupResult LockFreeProbe(Shard& shard,
@@ -375,6 +428,12 @@ class ConcurrentShardedEngine {
   telemetry::AtomicHistogram* probe_seconds_ = nullptr;
   telemetry::AtomicHistogram* commit_seconds_ = nullptr;
   telemetry::AtomicHistogram* insert_seconds_ = nullptr;
+  // Write-path state (DESIGN.md §13.3).
+  telemetry::Counter* snapshot_publishes_ = nullptr;
+  telemetry::Counter* snapshot_rows_copied_ = nullptr;
+  telemetry::AtomicHistogram* publish_seconds_ = nullptr;
+  telemetry::Gauge* limbo_rows_ = nullptr;
+  telemetry::Counter* restore_future_dated_ = nullptr;
 
   // Cache-layer instruments (cortex_cache_*), fed by before/after deltas
   // of each shard's CacheCounters so SemanticCache itself stays

@@ -77,10 +77,10 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
   const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
   for (std::size_t i = 0; i < pool_size; ++i) {
     const std::uint32_t idx = keep[i];
-    const ProbeRecord* rec = snap.records[idx].get();
+    const ProbeRecord* rec = snap.records[idx];
     const double sim =
         exact.dot(query.data(), rec->embedding.data(), query.size());
-    if (sim >= snap.sine.tau_sim) scratch.ranked.push_back({sim, rec, idx});
+    if (sim >= snap.sine.tau_sim) scratch.ranked.push_back({sim, rec});
   }
   std::sort(scratch.ranked.begin(), scratch.ranked.end(),
             [](const RankedCandidate& a, const RankedCandidate& b) {

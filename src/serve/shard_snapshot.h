@@ -9,14 +9,20 @@
 // pointer hand-off are seq_cst: exchange on publish, load under the
 // guard.
 //
-// A snapshot pairs each resident SE with
-//   * a shared_ptr<const ProbeRecord> — the probe-relevant fields, copied
-//     once per id (key/value/embedding are immutable per id in
-//     SemanticCache, so records are shared across rebuilds);
-//   * a row in the shard's scan slab, quantized per the engine's
-//     probe_scan_format (f32 / f16 / i8).  Rows referenced by any live
-//     snapshot are never freed or reused: removed rows sit in a limbo
-//     list until the epoch grace period passes.
+// A snapshot is plain arrays, one slot per resident SE:
+//   * a borrowed `const ProbeRecord*` — the probe-relevant fields, copied
+//     once per (id, fingerprint) and shared by every snapshot that
+//     publishes that SE;
+//   * a row pointer into the shard's scan slab, quantized per the engine's
+//     probe_scan_format (f32 / f16 / i8), plus the row's i8 scale.
+// Records and rows are owned by the engine shard, not by snapshots.  Both
+// move under the same limbo protocol: once unlinked from the published
+// arrays they wait out the epoch grace period before the record is freed
+// and the row returns to the slab free list, so every pointer a snapshot
+// holds outlives every reader of that snapshot.  Because the arrays are
+// trivially copyable, a publish copies the previous snapshot's arrays
+// (one memcpy each) and applies only the changed slots — swap-remove and
+// append — so scan order is arbitrary; ranking breaks ties by (sim, id).
 //
 // Probing is two-phase, mirroring FlatIndex::Search's variant-stable
 // ranking (ann/flat_index.cc):
@@ -37,13 +43,12 @@
 // made the epoch path slower than the locked one — see the
 // concurrency_probe bench.)  Stage 2 — visibility plus the judger
 // best-first walk — is SnapshotJudge, shared verbatim between the
-// sequential probe (borrowed records, still inside the guard) and the
-// batched pipeline (records re-homed to shared_ptrs, judged outside the
-// guard), so both paths produce identical results by construction.
+// sequential probe and the batched pipeline, both judging borrowed
+// records inside their guard, so both paths produce identical results by
+// construction.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,6 +62,7 @@ namespace cortex::serve {
 // Probe-relevant fields of one resident SE.  Immutable after
 // construction; a record is replaced (never mutated) when its
 // fingerprint — (created_at, expiration_time, tenant) — changes.
+// Owned by the engine shard; snapshots borrow it.
 struct ProbeRecord {
   SeId id = 0;
   std::string key;
@@ -73,10 +79,10 @@ struct ShardSnapshot {
   // Sine thresholds frozen at publish time (recalibration republishes).
   SineOptions sine;
 
-  // Parallel arrays, one entry per resident SE (arbitrary order).  Row
-  // pointers point into the shard's scan slab; the limbo protocol
-  // guarantees they outlive every reader of this snapshot.
-  std::vector<std::shared_ptr<const ProbeRecord>> records;
+  // Parallel arrays, one entry per resident SE (arbitrary order).  Record
+  // and row pointers are borrowed from the engine shard; the limbo
+  // protocol guarantees they outlive every reader of this snapshot.
+  std::vector<const ProbeRecord*> records;
   std::vector<const float*> rows_f32;          // format == kF32
   std::vector<const std::uint16_t*> rows_f16;  // format == kF16
   std::vector<const std::int8_t*> rows_i8;     // format == kI8
@@ -97,13 +103,10 @@ double SnapshotSlack(RowFormat format) noexcept;
 
 // One exact-reranked survivor, sorted best-first.  `record` is BORROWED
 // from the snapshot: it is valid only while the EpochReadGuard that
-// pinned the snapshot is held.  `index` locates the owning shared_ptr in
-// snap.records for callers (the batched pipeline) that must re-home
-// survivors before dropping the guard.
+// pinned the snapshot is held.
 struct RankedCandidate {
   double sim = 0.0;
   const ProbeRecord* record = nullptr;
-  std::uint32_t index = 0;
 };
 
 // Reusable scan scratch.  Probe throughput is allocation-sensitive:

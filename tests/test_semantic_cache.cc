@@ -5,6 +5,8 @@
 #include "ann/flat_index.h"
 #include <algorithm>
 #include <limits>
+#include <set>
+#include <vector>
 
 #include "llm/tags.h"
 #include "test_helpers.h"
@@ -222,6 +224,123 @@ TEST_F(SemanticCacheTest, UsageTracksInsertAndEvict) {
   EXPECT_GT(after_one, 0.0);
   cache_->Insert(RequestFor(1), 0.0);
   EXPECT_GT(cache_->usage_tokens(), after_one);
+}
+
+// ---------------------------------------------------------------------------
+// Change journal + expiration lower bound (DESIGN.md §13.3).
+
+TEST_F(SemanticCacheTest, JournalIsOffUntilEnabled) {
+  cache_->Insert(RequestFor(0), 0.0);
+  std::vector<SeId> drained{42};
+  cache_->DrainJournal(drained);
+  EXPECT_TRUE(drained.empty());
+}
+
+TEST_F(SemanticCacheTest, JournalRecordsEveryProbeRelevantChange) {
+  SemanticCacheOptions opts;
+  opts.min_ttl_sec = 10;
+  opts.max_ttl_sec = 10;
+  Rebuild(opts);
+  cache_->EnableJournal();
+  std::vector<SeId> drained;
+
+  const SeId a = *cache_->Insert(RequestFor(0, 0), 0.0);
+  cache_->DrainJournal(drained);
+  EXPECT_EQ(drained, std::vector<SeId>{a});
+
+  // Lookup commits bump frequency/last_access only: not probe-relevant.
+  ASSERT_TRUE(cache_->Lookup(world_.query(0, 1), 1.0).hit.has_value());
+  cache_->DrainJournal(drained);
+  EXPECT_TRUE(drained.empty());
+
+  // Dedup refresh renews expiration_time.
+  EXPECT_EQ(*cache_->Insert(RequestFor(0, 2), 2.0), a);
+  cache_->DrainJournal(drained);
+  EXPECT_EQ(drained, std::vector<SeId>{a});
+
+  // Exact-key replace: the old id goes, the new one arrives.
+  InsertRequest replace = RequestFor(0, 0);
+  replace.value = "a different answer";
+  const SeId b = *cache_->Insert(std::move(replace), 3.0);
+  cache_->DrainJournal(drained);
+  EXPECT_EQ(drained, (std::vector<SeId>{a, b}));
+
+  // Expiry removal.
+  EXPECT_EQ(cache_->RemoveExpired(100.0), 1u);
+  cache_->DrainJournal(drained);
+  EXPECT_EQ(drained, std::vector<SeId>{b});
+}
+
+TEST_F(SemanticCacheTest, JournalRecordsEvictionAndPromotionRetag) {
+  SemanticCacheOptions opts;
+  opts.promote_distinct_tenants = 2;
+  std::size_t largest = 0;
+  for (std::size_t topic = 0; topic < 6; ++topic) {
+    largest = std::max(largest, ApproxTokenCount(world_.answer(topic)));
+  }
+  opts.capacity_tokens = 2.5 * static_cast<double>(largest);
+  Rebuild(opts);
+  cache_->EnableJournal();
+  std::vector<SeId> drained;
+
+  InsertRequest first = RequestFor(0);
+  first.tenant = "acme";
+  const SeId a = *cache_->Insert(std::move(first), 0.0);
+  InsertRequest second = RequestFor(0, 1);
+  second.tenant = "globex";
+  EXPECT_EQ(*cache_->Insert(std::move(second), 1.0), a);  // retag in place
+  EXPECT_EQ(cache_->counters().promotions, 1u);
+  EXPECT_TRUE(cache_->Get(a)->tenant.empty());
+  cache_->DrainJournal(drained);
+  EXPECT_EQ(drained, (std::vector<SeId>{a, a}));
+
+  // Fill past capacity: every eviction is journaled.
+  for (std::size_t topic = 1; topic < 6; ++topic) {
+    cache_->Insert(RequestFor(topic), 2.0 + static_cast<double>(topic));
+  }
+  ASSERT_GT(cache_->counters().evictions, 0u);
+  cache_->DrainJournal(drained);
+  std::set<SeId> gone;
+  for (const SeId id : drained) {
+    if (cache_->Get(id) == nullptr) gone.insert(id);
+  }
+  EXPECT_EQ(gone.size(), cache_->counters().evictions);
+}
+
+TEST_F(SemanticCacheTest, ExpiredEntryIsPurgedByTheNextInsert) {
+  SemanticCacheOptions opts;
+  opts.min_ttl_sec = 10;
+  opts.max_ttl_sec = 10;
+  Rebuild(opts);
+  const SeId old_id = *cache_->Insert(RequestFor(0), 0.0);
+  cache_->Insert(RequestFor(1), 5.0);
+  EXPECT_EQ(cache_->counters().expirations, 0u);
+  // t=12: the first SE is past its TTL; the insert's purge must find it
+  // even though the previous insert's purge skipped the scan.
+  cache_->Insert(RequestFor(2), 12.0);
+  EXPECT_EQ(cache_->counters().expirations, 1u);
+  EXPECT_EQ(cache_->Get(old_id), nullptr);
+  EXPECT_EQ(cache_->size(), 2u);
+  // The bound was recomputed from the survivors: the t=5 SE goes at 15.
+  cache_->Insert(RequestFor(3), 15.0);
+  EXPECT_EQ(cache_->counters().expirations, 2u);
+  EXPECT_EQ(cache_->size(), 2u);
+}
+
+TEST_F(SemanticCacheTest, RestoredShortTtlLowersTheExpiryBound) {
+  SemanticCacheOptions opts;
+  opts.min_ttl_sec = 1000;
+  opts.max_ttl_sec = 1000;
+  Rebuild(opts);
+  cache_->Insert(RequestFor(0), 0.0);  // expires at 1000
+  SemanticElement se;
+  se.key = world_.query(1, 0);
+  se.value = world_.answer(1);
+  se.expiration_time = 20.0;  // far below the resident bound
+  const SeId restored = *cache_->RestoreElement(std::move(se), 1.0);
+  EXPECT_EQ(cache_->RemoveExpired(25.0), 1u);
+  EXPECT_EQ(cache_->Get(restored), nullptr);
+  EXPECT_EQ(cache_->size(), 1u);
 }
 
 // Capacity sweep: usage never exceeds capacity under sustained churn.
