@@ -15,6 +15,11 @@
 #   bench    fresh --json bench runs diffed against committed baselines
 #            (perf keys inside a wide tolerance band; deterministic keys
 #            tightly — see scripts/bench_diff.py)
+#   servebench  the serving benchmark's own checks: builds cortexd,
+#            cortex_router and the harness against src/ and runs its
+#            arithmetic tests (run.py --selftest), then replays every
+#            workload twice per seed and fails if the warm-up state or
+#            the timed window's counts differ (determinism.py)
 #   clang    clang RelWithDebInfo -Werror -Wthread-safety build + ctest
 #            (skipped with a notice when clang++ is not installed)
 #   asan     ASan+UBSan full ctest (CORTEX_SANITIZE=address,undefined;
@@ -39,7 +44,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CI_DIR="${CORTEX_CI_DIR:-build-ci}"
-ALL_LEGS=(analyze build scalar bench clang asan tsan lint)
+ALL_LEGS=(analyze build scalar bench servebench clang asan tsan lint)
 
 usage() {
   cat <<EOF
@@ -114,6 +119,11 @@ leg_bench() {
     python3 scripts/bench_diff.py "BENCH_${b}.json" \
       "$CI_DIR/gcc-release/BENCH_${b}.json"
   done
+}
+
+leg_servebench() {
+  python3 servebench/run.py --selftest
+  python3 servebench/determinism.py --seconds 2
 }
 
 leg_clang() {

@@ -42,8 +42,8 @@ class FlatIndex final : public VectorIndex {
   std::vector<float> data_;            // size() * dimension_
   std::vector<VectorId> slot_to_id_;   // slot -> id
   std::unordered_map<VectorId, std::size_t> id_to_slot_;
-  // Atomic: Search() runs concurrently under the serving tier's shared
-  // (read) locks, and a stats counter must not be the reason it can't.
+  // Atomic: Search() is const, and concurrent const calls must stay
+  // race-free; a stats counter must not be the reason they can't.
   mutable std::atomic<std::uint64_t> distcomp_{0};
 };
 

@@ -47,26 +47,12 @@ SemanticCache::LookupResult SemanticCache::Lookup(std::string_view query,
                                                   std::string_view tenant) {
   // Expired entries must not serve hits; purge lazily before matching.
   RemoveExpired(now);
-  LookupResult result = Probe(query, now, nullptr, tenant);
-  CommitLookup(result, now);
-  return result;
-}
-
-SemanticCache::LookupResult SemanticCache::Probe(std::string_view query,
-                                                 double now,
-                                                 ProbeTiming* timing,
-                                                 std::string_view tenant) const {
   LookupResult result;
-  const auto embed_t0 = std::chrono::steady_clock::now();
   result.query_embedding = sine_.EmbedQuery(query);
-  if (timing != nullptr) timing->embed_seconds = ElapsedSince(embed_t0);
-
   // An SE whose retrieval completes in the future must not serve hits yet
   // (inserts are recorded eagerly with their completion-time timestamps;
-  // visibility honours the clock), expired entries must not serve hits
-  // even though this read-only path cannot remove them, and another
-  // tenant's private entries must stay invisible.
-  SineTiming sine_timing;
+  // visibility honours the clock), and another tenant's private entries
+  // must stay invisible.
   result.sine =
       sine_.Lookup(query, result.query_embedding,
                    [this, now, tenant](SeId id) -> const SemanticElement* {
@@ -75,12 +61,7 @@ SemanticCache::LookupResult SemanticCache::Probe(std::string_view query,
                                     VisibleTo(*se, tenant)
                                 ? se
                                 : nullptr;
-                   },
-                   timing != nullptr ? &sine_timing : nullptr);
-  if (timing != nullptr) {
-    timing->ann_seconds = sine_timing.ann_seconds;
-    timing->judger_seconds = sine_timing.judger_seconds;
-  }
+                   });
   if (result.sine.match) {
     const SemanticElement* se = Get(result.sine.match->id);
     CHECK(se != nullptr) << "SINE matched an id absent from the store";
@@ -88,6 +69,7 @@ SemanticCache::LookupResult SemanticCache::Probe(std::string_view query,
                           result.sine.match->similarity,
                           result.sine.match->judger_score};
   }
+  CommitLookup(result, now);
   return result;
 }
 
@@ -280,7 +262,7 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
     ++counters_.rejected_too_large;
     return std::nullopt;
   }
-  if (se.embedding.size() != sine_.index().dimension()) {
+  if (se.embedding.size() != sine_.dimension()) {
     se.embedding = sine_.EmbedQuery(se.key);
   }
 

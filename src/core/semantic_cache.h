@@ -87,16 +87,6 @@ struct CacheCounters {
   }
 };
 
-// Optional per-stage wall time for a Probe, filled only when the caller
-// passes a non-null pointer.  Plain doubles (std::chrono durations) so
-// core/ stays free of telemetry dependencies; the serving layer converts
-// these to trace spans and histogram samples.
-struct ProbeTiming {
-  double embed_seconds = 0.0;
-  double ann_seconds = 0.0;
-  double judger_seconds = 0.0;
-};
-
 // Optional wall time spent on TTL purge + eviction inside an Insert.
 struct InsertTiming {
   double evict_seconds = 0.0;
@@ -125,6 +115,8 @@ struct InsertRequest {
 
 class SemanticCache {
  public:
+  // `index` may be null (see Sine): the cache then keeps its store,
+  // eviction and journal but cannot serve Lookup itself.
   SemanticCache(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
                 const JudgerModel* judger,
                 std::unique_ptr<EvictionPolicy> eviction,
@@ -139,25 +131,18 @@ class SemanticCache {
   };
 
   // Two-stage semantic lookup at time `now`, scoped to `tenant`: only the
-  // tenant's own namespace plus the shared pool can match.  A hit bumps
-  // the SE's frequency and last_access.
+  // tenant's own namespace plus the shared pool can match, and an SE
+  // created after `now` cannot.  Purges expired entries first, then
+  // commits (CommitLookup): a hit bumps the SE's frequency and
+  // last_access.  Requires the cache to have been built with an index.
   LookupResult Lookup(std::string_view query, double now,
                       std::string_view tenant = {});
 
-  // The read-only half of Lookup: identical two-stage retrieval semantics,
-  // but no mutation at all — no counter updates, no frequency bump, and no
-  // lazy TTL purge (expired or not-yet-visible entries are skipped rather
-  // than removed).  Safe to run concurrently with other const methods; the
-  // serving layer calls it under a per-shard shared lock.  `timing`, when
-  // non-null, receives per-stage wall time.
-  LookupResult Probe(std::string_view query, double now,
-                     ProbeTiming* timing = nullptr,
-                     std::string_view tenant = {}) const;
-
-  // The mutating half: counts the lookup (and hit) and bumps the matched
-  // SE's confirmed frequency / last_access.  The SE may have been evicted
-  // between probe and commit (concurrent serving); the hit still counts —
-  // the caller served the value — but the bump is skipped.
+  // The mutating half of a lookup: counts the lookup (and hit) and bumps
+  // the matched SE's confirmed frequency / last_access.  The serving tier
+  // probes its own snapshot and commits here; the SE may have been
+  // evicted between probe and commit, in which case the hit still counts
+  // — the caller served the value — but the bump is skipped.
   void CommitLookup(const LookupResult& result, double now);
 
   // Inserts (evicting as needed); returns the new SE's id, or nullopt when

@@ -1,19 +1,42 @@
 #include "core/sine.h"
 
-#include <chrono>
-
 #include "util/check.h"
 
 namespace cortex {
 
-namespace {
+std::size_t JudgeCandidates(std::span<const JudgeCandidate> candidates,
+                            std::string_view query, const SineOptions& options,
+                            const JudgerModel* judger,
+                            SineLookupResult& result) {
+  if (!options.use_judger) {
+    // Agent_ANN ablation: top similarity wins outright.
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const JudgeCandidate& c = candidates[i];
+      if (c.similarity < options.ann_only_threshold) continue;
+      result.match = SineCandidate{c.id, c.similarity, 0.0};
+      return i;  // candidates are sorted best-first
+    }
+    return candidates.size();
+  }
 
-double ElapsedSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  CHECK(judger != nullptr) << "use_judger requires a judger model";
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const JudgeCandidate& c = candidates[i];
+    JudgeRequest req;
+    req.query = query;
+    req.cached_query = c.key;
+    req.cached_result = c.value;
+    req.embedding_similarity = c.similarity;
+    const double score = judger->Judge(req);
+    ++result.judger_calls;
+    result.judged.push_back({c.id, c.similarity, score});
+    if (score >= options.tau_lsm) {
+      result.match = SineCandidate{c.id, c.similarity, score};
+      return i;
+    }
+  }
+  return candidates.size();
 }
-
-}  // namespace
 
 Sine::Sine(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
            const JudgerModel* judger, SineOptions options)
@@ -21,7 +44,7 @@ Sine::Sine(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
       index_(std::move(index)),
       judger_(judger),
       options_(options) {
-  CHECK(embedder_ != nullptr && index_ != nullptr);
+  CHECK(embedder_ != nullptr);
   CHECK(!options_.use_judger || judger_ != nullptr)
       << "use_judger requires a judger model";
 }
@@ -32,54 +55,29 @@ Vector Sine::EmbedQuery(std::string_view query) const {
 
 SineLookupResult Sine::Lookup(std::string_view query,
                               const Vector& query_embedding,
-                              const SeAccessor& get_se,
-                              SineTiming* timing) const {
+                              const SeAccessor& get_se) const {
+  CHECK(index_ != nullptr) << "Sine::Lookup needs a VectorIndex";
   SineLookupResult result;
-  const auto ann_t0 = std::chrono::steady_clock::now();
   const auto candidates =
       index_->Search(query_embedding, options_.top_k, options_.tau_sim);
-  if (timing != nullptr) timing->ann_seconds = ElapsedSince(ann_t0);
   result.ann_candidates = candidates.size();
-
-  if (!options_.use_judger) {
-    // Agent_ANN ablation: top similarity wins outright.
-    for (const auto& c : candidates) {
-      if (c.similarity < options_.ann_only_threshold) continue;
-      if (get_se(c.id) == nullptr) continue;
-      result.match = SineCandidate{c.id, c.similarity, 0.0};
-      break;  // candidates are sorted best-first
-    }
-    return result;
-  }
-
-  // Candidates arrive best-first; validation short-circuits on the first
-  // acceptance.  Judging every survivor would multiply judger load (and
-  // with it the latency of every hit) for marginal precision gain.
-  const auto judger_t0 = std::chrono::steady_clock::now();
+  std::vector<JudgeCandidate> visible;
+  visible.reserve(candidates.size());
   for (const auto& c : candidates) {
-    const SemanticElement* se = get_se(c.id);
-    if (se == nullptr) continue;
-    JudgeRequest req;
-    req.query = query;
-    req.cached_query = se->key;
-    req.cached_result = se->value;
-    req.embedding_similarity = c.similarity;
-    const double score = judger_->Judge(req);
-    ++result.judger_calls;
-    result.judged.push_back({c.id, c.similarity, score});
-    if (score >= options_.tau_lsm) {
-      result.match = SineCandidate{c.id, c.similarity, score};
-      break;
+    if (const SemanticElement* se = get_se(c.id)) {
+      visible.push_back({c.id, c.similarity, se->key, se->value});
     }
   }
-  if (timing != nullptr) timing->judger_seconds = ElapsedSince(judger_t0);
+  JudgeCandidates(visible, query, options_, judger_, result);
   return result;
 }
 
 void Sine::Insert(const SemanticElement& se) {
-  index_->Add(se.id, se.embedding);
+  if (index_ != nullptr) index_->Add(se.id, se.embedding);
 }
 
-void Sine::Remove(SeId id) { index_->Remove(id); }
+void Sine::Remove(SeId id) {
+  if (index_ != nullptr) index_->Remove(id);
+}
 
 }  // namespace cortex

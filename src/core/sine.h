@@ -15,6 +15,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "ann/vector_index.h"
@@ -61,19 +63,38 @@ struct SineLookupResult {
   std::size_t judger_calls = 0;
 };
 
-// Optional per-stage wall time, filled only when a caller passes a
-// non-null pointer (zero overhead otherwise).  Plain std::chrono so core/
-// carries no telemetry dependency; the serving layer converts to spans.
-struct SineTiming {
-  double ann_seconds = 0.0;     // stage-1 ANN search
-  double judger_seconds = 0.0;  // stage-2 judger validation
+// One stage-1 survivor as stage 2 sees it: already filtered to what the
+// caller may see.  key/value are borrowed for the duration of the call.
+struct JudgeCandidate {
+  SeId id = 0;
+  double similarity = 0.0;
+  std::string_view key;
+  std::string_view value;
 };
+
+// Stage 2 of Sine (paper §4.2), the one policy every lookup path runs:
+// over visible stage-1 candidates sorted best-first, the ann-only ablation
+// accepts the first with similarity >= ann_only_threshold; otherwise the
+// judger scores them in order and the first with score >= tau_lsm is the
+// match.  Judging every survivor would multiply judger load (and with it
+// the latency of every hit) for marginal precision gain, so the walk
+// short-circuits.  Fills `result`'s match, judged and judger_calls (not
+// ann_candidates) and returns the index of the accepted candidate, or
+// candidates.size() when none was accepted.  `judger` may be null iff
+// options.use_judger is false.  Pure: takes no locks.
+std::size_t JudgeCandidates(std::span<const JudgeCandidate> candidates,
+                            std::string_view query, const SineOptions& options,
+                            const JudgerModel* judger,
+                            SineLookupResult& result);
 
 class Sine {
  public:
   using SeAccessor = std::function<const SemanticElement*(SeId)>;
 
-  // embedder/judger are borrowed and must outlive the index.
+  // embedder/judger are borrowed and must outlive the index.  `index` may
+  // be null for a Sine whose stage 1 lives elsewhere (the serving tier
+  // scans its published snapshot): Insert/Remove then do nothing and
+  // Lookup must not be called.
   Sine(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
        const JudgerModel* judger, SineOptions options = {});
 
@@ -82,16 +103,16 @@ class Sine {
   Vector EmbedQuery(std::string_view query) const;
 
   // Runs the two-stage retrieval.  `get_se` resolves candidate ids to SEs
-  // (returning nullptr skips the candidate — e.g. concurrently evicted).
-  // `timing`, when non-null, receives per-stage wall time.
+  // (returning nullptr skips the candidate — e.g. not visible).  Requires
+  // an index.
   SineLookupResult Lookup(std::string_view query,
                           const Vector& query_embedding,
-                          const SeAccessor& get_se,
-                          SineTiming* timing = nullptr) const;
+                          const SeAccessor& get_se) const;
 
   void Insert(const SemanticElement& se);
   void Remove(SeId id);
 
+  std::size_t dimension() const { return embedder_->dimension(); }
   std::size_t size() const { return index_->size(); }
   const VectorIndex& index() const noexcept { return *index_; }
   const SineOptions& options() const noexcept { return options_; }

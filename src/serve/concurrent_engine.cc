@@ -70,6 +70,8 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
       registry_->GetCounter("cortex_engine_snapshot_rows_copied");
   publish_seconds_ = registry_->GetHistogram("cortex_engine_publish_seconds");
   limbo_rows_ = registry_->GetGauge("cortex_engine_limbo_rows");
+  epoch_lag_ = registry_->GetGauge("cortex_engine_epoch_lag");
+  retired_pending_ = registry_->GetGauge("cortex_engine_retired_pending");
   restore_future_dated_ =
       registry_->GetCounter("cortex_engine_restore_future_dated");
   cache_evictions_ = registry_->GetCounter("cortex_cache_evictions");
@@ -93,9 +95,11 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   per_shard_capacity_ = per_shard.capacity_tokens;
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
+    // No VectorIndex: the published ShardSnapshot is the shard's only
+    // candidate index, and the journal is how it learns what changed.
     auto cache = std::make_unique<SemanticCache>(
-        embedder, MakeIndex(options_.index_type, embedder->dimension()),
-        judger, MakeEviction(options_.eviction), per_shard);
+        embedder, nullptr, judger, MakeEviction(options_.eviction), per_shard);
+    cache->EnableJournal();
     shards_.push_back(std::make_unique<Shard>(
         std::move(cache), options_.recalibration,
         options_.recalibration_seed + i, embedder->dimension(),
@@ -103,10 +107,12 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
     const std::string prefix =
         "cortex_engine_shard" + std::to_string(i) + "_";
     Shard& shard = *shards_.back();
-    if (options_.lock_free_probe) {
-      WriterLock lock(shard.mu);
-      shard.cache->EnableJournal();
-    }
+    // Probes always find a snapshot: an empty one until the first write.
+    auto* empty = new ShardSnapshot;
+    empty->format = options_.probe_scan_format;
+    empty->dim = embedder->dimension();
+    empty->sine = per_shard.sine;
+    shard.snapshot.store(empty, std::memory_order_seq_cst);
     shard.hits = registry_->GetCounter(prefix + "hits");
     shard.misses = registry_->GetCounter(prefix + "misses");
     shard.judger_rejects = registry_->GetCounter(prefix + "judger_rejects");
@@ -126,7 +132,7 @@ ConcurrentShardedEngine::~ConcurrentShardedEngine() {
   for (auto& shard : shards_) {
     const ShardSnapshot* last =
         shard->snapshot.exchange(nullptr, std::memory_order_seq_cst);
-    if (last != nullptr) epoch_.Retire([last] { delete last; });
+    epoch_.Retire([last] { delete last; });
   }
   epoch_.DrainBlocking();
 }
@@ -195,8 +201,8 @@ void ConcurrentShardedEngine::PublishSnapshot(Shard& shard) {
   shard.cache->DrainJournal(shard.journal);
   const ShardSnapshot* cur = shard.snapshot.load(std::memory_order_seq_cst);
   const SineOptions& live = shard.cache->sine().options();
-  const bool tau_moved = cur == nullptr || cur->sine.tau_lsm != live.tau_lsm ||
-                         cur->sine.tau_sim != live.tau_sim;
+  const bool tau_moved =
+      cur->sine.tau_lsm != live.tau_lsm || cur->sine.tau_sim != live.tau_sim;
   if (shard.journal.empty() && !tau_moved) return;
 
   const double t0 = telemetry::WallSeconds();
@@ -209,7 +215,7 @@ void ConcurrentShardedEngine::PublishSnapshot(Shard& shard) {
   ShardSnapshot* snap =
       shard.spare.exchange(nullptr, std::memory_order_acquire);
   if (snap == nullptr) snap = new ShardSnapshot;
-  const std::size_t copied = cur != nullptr ? cur->size() : 0;
+  const std::size_t copied = cur->size();
   snap->format = shard.scan_slab.format();
   snap->dim = shard.scan_slab.dim();
   snap->sine = live;
@@ -219,13 +225,11 @@ void ConcurrentShardedEngine::PublishSnapshot(Shard& shard) {
     dst.reserve(copied + shard.journal.size());
     dst.assign(src.begin(), src.end());
   };
-  if (cur != nullptr) {
-    copy(snap->records, cur->records);
-    copy(snap->rows_f32, cur->rows_f32);
-    copy(snap->rows_f16, cur->rows_f16);
-    copy(snap->rows_i8, cur->rows_i8);
-    copy(snap->scales_i8, cur->scales_i8);
-  }
+  copy(snap->records, cur->records);
+  copy(snap->rows_f32, cur->rows_f32);
+  copy(snap->rows_f16, cur->rows_f16);
+  copy(snap->rows_i8, cur->rows_i8);
+  copy(snap->scales_i8, cur->scales_i8);
 
   // Swap-remove slot i from the owners and from every array this
   // snapshot scans (the other formats' arrays are empty).
@@ -288,16 +292,14 @@ void ConcurrentShardedEngine::PublishSnapshot(Shard& shard) {
     shard.slots.push_back({std::move(record), row});
   }
 
+  // Past its grace period the old snapshot becomes the shard's spare (the
+  // one it displaces, if any, is freed).
   const ShardSnapshot* old =
       shard.snapshot.exchange(snap, std::memory_order_seq_cst);
-  if (old != nullptr) {
-    // Past its grace period the old snapshot becomes the shard's spare
-    // (the one it displaces, if any, is freed).
-    epoch_.Retire([&shard, old] {
-      delete shard.spare.exchange(const_cast<ShardSnapshot*>(old),
-                                  std::memory_order_acq_rel);
-    });
-  }
+  epoch_.Retire([&shard, old] {
+    delete shard.spare.exchange(const_cast<ShardSnapshot*>(old),
+                                std::memory_order_acq_rel);
+  });
 
   // Stamp unlinked slots AFTER the exchange: a reader that loaded the old
   // snapshot entered at an epoch <= the epoch at exchange time, so a
@@ -324,162 +326,48 @@ void ConcurrentShardedEngine::PublishSnapshot(Shard& shard) {
   // flight is a short slot scan.  kEpochRetire (70) ranks above
   // kEngineShard (50), so flushing while holding shard.mu is in order.
   if (epoch_.pending_retired() > 2) epoch_.Flush();
+  UpdateEpochGauges();
 }
 
-SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
-    Shard& shard, std::string_view query, double now, std::string_view tenant,
-    ProbeTiming* timing) {
-  // Embed outside the epoch section — it needs no shard state.  Timing is
-  // collected only when a trace asked for it; the untimed path (Peek, and
-  // every probe-scaling bench iteration) runs clock-free.
-  const bool timed = timing != nullptr;
-  const double embed_t0 = timed ? telemetry::WallSeconds() : 0.0;
-  Vector query_embedding = embedder_->Embed(query);
-  const double scan_t0 = timed ? telemetry::WallSeconds() : 0.0;
-  if (timed) timing->embed_seconds = scan_t0 - embed_t0;
-
-  // Scan, exact rerank, and stage 2 all run inside ONE guard over
-  // borrowed records.  The thread-local scratch makes the steady-state
-  // probe allocation-free, and borrowing (instead of pooling shared_ptr
-  // copies for an out-of-guard rerank) eliminates the contended refcount
-  // RMWs on shared record control blocks that made the epoch path lose
-  // to the locked one under concurrency.  The judger is a pure in-process
-  // model, so holding the guard across it is cheap; a remote judger would
-  // flip this trade-off.
-  thread_local ProbeScratch scratch;
-  SemanticCache::LookupResult result;
-  double judge_t0 = scan_t0;
-  {
-    EpochReadGuard guard(epoch_);
-    const ShardSnapshot* snap =
-        shard.snapshot.load(std::memory_order_seq_cst);
-    if (snap == nullptr) {
-      result.query_embedding = std::move(query_embedding);
-      if (timed) timing->ann_seconds = telemetry::WallSeconds() - scan_t0;
-      return result;
-    }
-    SnapshotScanRank(*snap, query_embedding, scratch);
-    if (timed) {
-      judge_t0 = telemetry::WallSeconds();
-      timing->ann_seconds = judge_t0 - scan_t0;
-    }
-    result = SnapshotJudge(scratch.ranked, snap->sine,
-                           std::move(query_embedding), query, now, tenant,
-                           judger_);
-  }
-  if (timed) timing->judger_seconds = telemetry::WallSeconds() - judge_t0;
-  return result;
+void ConcurrentShardedEngine::UpdateEpochGauges() {
+  epoch_lag_->Set(static_cast<double>(epoch_.reclaim_lag()));
+  retired_pending_->Set(static_cast<double>(epoch_.pending_retired()));
 }
 
 std::optional<CacheHit> ConcurrentShardedEngine::Peek(std::string_view query,
                                                       std::string_view tenant) {
-  Shard& shard = *shards_[ShardFor(query)];
+  const Shard& shard = *shards_[ShardFor(query)];
   const double now = clock_();
-  SemanticCache::LookupResult result;
-  if (options_.lock_free_probe) {
-    result = LockFreeProbe(shard, query, now, tenant, nullptr);
-  } else {
-    ReaderLock lock(shard.mu);
-    result = shard.cache->Probe(query, now, nullptr, tenant);
-  }
-  return std::move(result.hit);
+  // Embed outside the epoch section — it needs no shard state.
+  const Vector query_embedding = embedder_->Embed(query);
+  // Scan, exact rerank, and stage 2 all run inside ONE guard over
+  // borrowed records.  The thread-local scratch makes the steady-state
+  // probe allocation-free, and borrowing (instead of pooling shared_ptr
+  // copies for an out-of-guard rerank) avoids contended refcount RMWs on
+  // shared record control blocks.  The judger is a pure in-process
+  // model, so holding the guard across it is cheap; a remote judger would
+  // flip this trade-off.
+  thread_local ProbeScratch scratch;
+  EpochReadGuard guard(epoch_);
+  const ShardSnapshot& snap = *shard.snapshot.load(std::memory_order_seq_cst);
+  SnapshotScanRank(snap, query_embedding, scratch);
+  return SnapshotJudge(scratch, snap.sine, query, now, tenant, judger_).hit;
 }
 
 std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
     std::string_view query, telemetry::RequestTrace* trace,
     std::string_view tenant) {
-  const std::size_t shard_idx = ShardFor(query);
-  Shard& shard = *shards_[shard_idx];
-  const double now = clock_();
-  if (trace != nullptr) trace->shard = static_cast<std::uint32_t>(shard_idx);
-
-  // Probe (scan + judger — the expensive part) never blocks on the shard
-  // mutex in the default lock-free mode: it reads the epoch-protected
-  // snapshot instead.  The locked fallback takes the shared lock and runs
-  // the in-cache Probe.  Sub-phase timing is only collected when a trace
-  // wants it.
-  ProbeTiming probe_timing;
-  SemanticCache::LookupResult result;
-  const double probe_t0 = telemetry::WallSeconds();
-  if (options_.lock_free_probe) {
-    result = LockFreeProbe(shard, query, now, tenant,
-                           trace != nullptr ? &probe_timing : nullptr);
-  } else {
-    ReaderLock lock(shard.mu);
-    result = shard.cache->Probe(
-        query, now, trace != nullptr ? &probe_timing : nullptr, tenant);
-  }
-  const double commit_t0 = telemetry::WallSeconds();
-  probe_seconds_->Observe(commit_t0 - probe_t0);
-
-  // Commit (counters, frequency bump, judgment log) is cheap; upgrade to
-  // the exclusive lock.  The matched SE may have been evicted in between —
-  // CommitLookup tolerates that, and the hit we already copied still
-  // serves the client.
-  {
-    WriterLock lock(shard.mu);
-    shard.cache->CommitLookup(result, now);
-    // Log every judged candidate so recalibration sees scores on both
-    // sides of the threshold (same policy as CortexEngine::Lookup).
-    for (const auto& judged : result.sine.judged) {
-      if (const SemanticElement* se = shard.cache->Get(judged.id)) {
-        shard.recalibrator.LogJudgment({std::string(query), se->key,
-                                        se->value, judged.judger_score});
-      }
-    }
-  }
-  const double commit_end = telemetry::WallSeconds();
-  commit_seconds_->Observe(commit_end - commit_t0);
-
-  lookups_->Inc();
-  if (result.hit) {
-    hits_->Inc();
-    shard.hits->Inc();
-  } else {
-    misses_->Inc();
-    shard.misses->Inc();
-    // A judger reject is a miss where stage 1 surfaced candidates but
-    // stage 2 turned every one of them down.
-    if (!result.sine.judged.empty()) {
-      judger_rejects_->Inc();
-      shard.judger_rejects->Inc();
-    }
-  }
-  if (!tenant.empty()) {
-    tenant_registry_->OnLookup(std::string(tenant), result.hit.has_value());
-  }
-
-  if (trace != nullptr) {
-    // Probe sub-phases run back-to-back inside the shared-lock section;
-    // reconstruct their starts by accumulation from the probe start.
-    double t = probe_t0;
-    trace->AddSpan(telemetry::TracePhase::kEmbed, t,
-                   probe_timing.embed_seconds);
-    t += probe_timing.embed_seconds;
-    trace->AddSpan(telemetry::TracePhase::kAnnProbe, t,
-                   probe_timing.ann_seconds);
-    t += probe_timing.ann_seconds;
-    if (probe_timing.judger_seconds > 0.0) {
-      trace->AddSpan(telemetry::TracePhase::kJudger, t,
-                     probe_timing.judger_seconds);
-    }
-    trace->AddSpan(telemetry::TracePhase::kCommit, commit_t0,
-                   commit_end - commit_t0);
-  }
-  return result.hit;
+  BatchLookupRequest request;
+  request.query = query;
+  request.tenant = tenant;
+  request.trace = trace;
+  LookupBatch({&request, 1});
+  return std::move(request.hit);
 }
 
 void ConcurrentShardedEngine::LookupBatch(
     std::span<BatchLookupRequest> batch) {
   if (batch.empty()) return;
-  if (batch.size() == 1 || !options_.lock_free_probe) {
-    // One element gains nothing from batching, and the locked fallback has
-    // no snapshot to multi-scan — both degenerate to sequential lookups.
-    for (BatchLookupRequest& r : batch) {
-      r.hit = Lookup(r.query, r.trace, r.tenant);
-    }
-    return;
-  }
 
   const double now = clock_();
   const std::size_t nq = batch.size();
@@ -515,9 +403,11 @@ void ConcurrentShardedEngine::LookupBatch(
   // ---- Stages 1b + 2: per shard, ONE epoch-guarded section runs the
   // multi-query scan (slab bytes read once per batch), then each query's
   // exact rerank and judger walk over borrowed records — the same
-  // SnapshotRankFromSims + SnapshotJudge the sequential probe runs, so
-  // verdicts and hit decisions are identical.  The judger is a pure
-  // in-process model, so holding the guard across it is cheap.
+  // SnapshotRankFromSims + SnapshotJudge Peek's probe runs, so verdicts
+  // and hit decisions are identical.  The judger is a pure in-process
+  // model, so holding the guard across it is cheap.  The matched SE may
+  // be evicted before the commit below — CommitLookup tolerates that,
+  // and the hit already copied still serves the client.
   std::vector<SemanticCache::LookupResult> results(nq);
   std::vector<double> ann_share(nq, 0.0);
   thread_local std::vector<float> group_storage;
@@ -535,31 +425,22 @@ void ConcurrentShardedEngine::LookupBatch(
     }
     const double scan_t0 = telemetry::WallSeconds();
     EpochReadGuard guard(epoch_);
-    const ShardSnapshot* snap = shard.snapshot.load(std::memory_order_seq_cst);
-    const std::size_t n = snap != nullptr ? snap->size() : 0;
-    if (snap != nullptr) {
-      sims.resize(gn * n);
-      SnapshotScanMq(*snap, gq, gn, qstride, scratch, sims.data());
-    }
+    const ShardSnapshot& snap = *shard.snapshot.load(std::memory_order_seq_cst);
+    const std::size_t n = snap.size();
+    sims.resize(gn * n);
+    SnapshotScanMq(snap, gq, gn, qstride, scratch, sims.data());
     const double scan_share =
         (telemetry::WallSeconds() - scan_t0) / static_cast<double>(gn);
     for (std::size_t j = 0; j < gn; ++j) {
       const std::uint32_t i = group[j];
       BatchLookupRequest& r = batch[i];
-      Vector query_embedding(gq + j * qstride, gq + j * qstride + dim);
-      if (snap == nullptr) {
-        results[i].query_embedding = std::move(query_embedding);
-        ann_share[i] = scan_share;
-        continue;
-      }
       const double rank_t0 = telemetry::WallSeconds();
-      SnapshotRankFromSims(*snap, std::span<const float>(gq + j * qstride, dim),
+      SnapshotRankFromSims(snap, std::span<const float>(gq + j * qstride, dim),
                            sims.data() + j * n, scratch);
       const double judge_t0 = telemetry::WallSeconds();
       ann_share[i] = scan_share + (judge_t0 - rank_t0);
-      results[i] = SnapshotJudge(scratch.ranked, snap->sine,
-                                 std::move(query_embedding), r.query, now,
-                                 r.tenant, judger_);
+      results[i] =
+          SnapshotJudge(scratch, snap.sine, r.query, now, r.tenant, judger_);
       r.judger_seconds = telemetry::WallSeconds() - judge_t0;
       r.judger_calls = results[i].sine.judger_calls;
     }
@@ -577,6 +458,8 @@ void ConcurrentShardedEngine::LookupBatch(
       WriterLock lock(shard.mu);
       for (const std::uint32_t i : group) {
         shard.cache->CommitLookup(results[i], now);
+        // Log every judged candidate so recalibration sees scores on both
+        // sides of the threshold (same policy as CortexEngine::Lookup).
         for (const auto& judged : results[i].sine.judged) {
           if (const SemanticElement* se = shard.cache->Get(judged.id)) {
             shard.recalibrator.LogJudgment({std::string(batch[i].query),
@@ -591,7 +474,7 @@ void ConcurrentShardedEngine::LookupBatch(
     for (const std::uint32_t i : group) commit_share[i] = share;
   }
 
-  // ---- Per-request accounting, same shape as Lookup's.
+  // ---- Per-request accounting.
   for (std::size_t i = 0; i < nq; ++i) {
     BatchLookupRequest& r = batch[i];
     SemanticCache::LookupResult& result = results[i];
@@ -605,6 +488,8 @@ void ConcurrentShardedEngine::LookupBatch(
     } else {
       misses_->Inc();
       shard.misses->Inc();
+      // A judger reject is a miss where stage 1 surfaced candidates but
+      // stage 2 turned every one of them down.
       if (!result.sine.judged.empty()) {
         judger_rejects_->Inc();
         shard.judger_rejects->Inc();
@@ -671,7 +556,7 @@ std::optional<SeId> ConcurrentShardedEngine::Insert(
       tenant_evictions_delta = shard.cache->TenantUsageFor(tenant).evictions -
                                tenant_evictions_before;
     }
-    if (options_.lock_free_probe) PublishSnapshot(shard);
+    PublishSnapshot(shard);
   }
   const double insert_end = telemetry::WallSeconds();
   insert_seconds_->Observe(insert_end - insert_t0);
@@ -720,7 +605,7 @@ std::size_t ConcurrentShardedEngine::RemoveExpired() {
       usage_delta = shard->cache->usage_tokens() - usage_before;
       entries_delta = static_cast<double>(shard->cache->size()) -
                       static_cast<double>(size_before);
-      if (options_.lock_free_probe) PublishSnapshot(*shard);
+      PublishSnapshot(*shard);
     }
     ApplyCacheDeltas(*shard, before, after, usage_delta, entries_delta);
   }
@@ -873,12 +758,10 @@ SnapshotStats ConcurrentShardedEngine::LoadSnapshot(std::istream& in) {
       }
     });
   }
-  if (options_.lock_free_probe) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!touched[s]) continue;
-      WriterLock lock(shards_[s]->mu);
-      PublishSnapshot(*shards_[s]);
-    }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!touched[s]) continue;
+    WriterLock lock(shards_[s]->mu);
+    PublishSnapshot(*shards_[s]);
   }
   return stats;
 }
@@ -905,7 +788,7 @@ std::optional<SeId> ConcurrentShardedEngine::RestoreIntoShard(
     usage_delta = shard.cache->usage_tokens() - usage_before;
     entries_delta = static_cast<double>(shard.cache->size()) -
                     static_cast<double>(size_before);
-    if (publish && options_.lock_free_probe) PublishSnapshot(shard);
+    if (publish) PublishSnapshot(shard);
   }
   ApplyCacheDeltas(shard, before, after, usage_delta, entries_delta);
   return id;
@@ -931,7 +814,7 @@ bool ConcurrentShardedEngine::RecalibrateShard(Shard& shard) {
     shard.cache->sine().set_tau_lsm(*round.new_tau);
     // Thresholds are frozen into the published snapshot; republish so
     // lock-free probes judge against the recalibrated tau.
-    if (options_.lock_free_probe) PublishSnapshot(shard);
+    PublishSnapshot(shard);
     return true;
   }
   return false;
@@ -973,6 +856,7 @@ void ConcurrentShardedEngine::HousekeepingLoop() {
     // Advance the reclamation epoch and run due retire callbacks (freed
     // snapshots; slab rows drain back on the next shard mutation).
     epoch_.Flush();
+    UpdateEpochGauges();
     lk.lock();
   }
 }
@@ -980,11 +864,9 @@ void ConcurrentShardedEngine::HousekeepingLoop() {
 std::vector<SeId> ConcurrentShardedEngine::PublishedIds(std::size_t shard) {
   std::vector<SeId> ids;
   EpochReadGuard guard(epoch_);
-  const ShardSnapshot* snap =
-      shards_.at(shard)->snapshot.load(std::memory_order_seq_cst);
-  if (snap != nullptr) {
-    for (const ProbeRecord* rec : snap->records) ids.push_back(rec->id);
-  }
+  const ShardSnapshot& snap =
+      *shards_.at(shard)->snapshot.load(std::memory_order_seq_cst);
+  for (const ProbeRecord* rec : snap.records) ids.push_back(rec->id);
   return ids;
 }
 

@@ -2,20 +2,21 @@
 // layer (cortexd).  Wraps the paper's sharded deployment (Fig. 4) for real
 // parallel clients instead of the single-threaded virtual-clock sim:
 //
-//   * a lock-free lookup probe (on by default, DESIGN.md §13): each shard
-//     publishes an immutable ShardSnapshot — quantized scan rows plus
-//     probe-relevant record copies — through a seq_cst atomic pointer;
-//     readers pin it with an EpochReadGuard and never touch the shard
-//     mutex for the expensive part (scan + judger).  Writers drain the
-//     cache's change journal under the exclusive lock, publish a copy of
-//     the previous snapshot patched with just those changes, and retire
-//     the old snapshot to the engine's EpochDomain — a write costs
-//     O(changed) plus one memcpy of the slot arrays.  With
-//     lock_free_probe=false, lookups fall back to taking the shared lock
-//     for the probe instead.  Either way
-//     the cheap commit (counters, frequency bump) upgrades to the
-//     exclusive lock; insert/evict/expire take the exclusive lock
-//     outright;
+//   * one lock-free lookup probe (DESIGN.md §13): each shard publishes an
+//     immutable ShardSnapshot — quantized scan rows plus probe-relevant
+//     record copies — through a seq_cst atomic pointer; readers pin it
+//     with an EpochReadGuard and never touch the shard mutex for the
+//     expensive part (scan + judger).  The snapshot is the shard's only
+//     candidate index: the shard's SemanticCache holds the store, eviction
+//     and change journal but no VectorIndex.  Writers drain the journal
+//     under the exclusive lock, publish a copy of the previous snapshot
+//     patched with just those changes, and retire the old snapshot to the
+//     engine's EpochDomain — a write costs O(changed) plus one memcpy of
+//     the slot arrays.  The cheap commit (counters, frequency bump)
+//     upgrades to the exclusive lock; insert/evict/expire take the
+//     exclusive lock outright.  Hits, similarities and judger scores are
+//     bit-identical to single-threaded SemanticCache over FlatIndex with
+//     the same ShardFor routing;
 //   * live telemetry (DESIGN.md §8): every request updates counters,
 //     gauges, and latency histograms on a MetricRegistry — instrument
 //     handles are resolved once at construction, so the hot path is pure
@@ -71,7 +72,6 @@ struct ConcurrentEngineOptions {
   // Per-shard options; capacity_tokens is the TOTAL budget, divided evenly
   // across shards (same convention as ShardedCacheOptions).
   SemanticCacheOptions cache;
-  IndexType index_type = IndexType::kFlat;
   EvictionKind eviction = EvictionKind::kLcfu;
 
   // Background housekeeping cadence in engine-clock seconds; <= 0 disables
@@ -98,17 +98,9 @@ struct ConcurrentEngineOptions {
   // computed against each shard's capacity share.
   tenant::TenantRegistryOptions tenants;
 
-  // Lock-free probe (DESIGN.md §13).  When true, Lookup's expensive probe
-  // reads an epoch-protected ShardSnapshot and never takes the shard
-  // mutex; when false it takes the shared lock and runs the in-cache
-  // Probe (the pre-epoch path, kept for A/B benches and as a fallback).
-  // The lock-free probe's stage 1 is an exact quantized scan + fp32
-  // rerank — identical to the locked path under IndexType::kFlat, better
-  // recall than it under IVF/HNSW (those prune, the scan does not).
-  bool lock_free_probe = true;
-  // Scan-tier row format for the snapshot slab: kI8 cuts scan bytes per
-  // vector ~4x vs fp32; the fp32-rerank contract makes the final top-k
-  // identical whatever format scans.
+  // Scan-tier row format for the probe's snapshot slab (DESIGN.md §13):
+  // kI8 cuts scan bytes per vector ~4x vs fp32; the fp32-rerank contract
+  // makes the final top-k identical whatever format scans.
   RowFormat probe_scan_format = RowFormat::kI8;
 };
 
@@ -187,7 +179,8 @@ class ConcurrentShardedEngine {
   ConcurrentShardedEngine& operator=(const ConcurrentShardedEngine&) = delete;
 
   // Two-stage semantic lookup at the engine clock's now, scoped to
-  // `tenant` (empty = shared pool only).  `trace`, when non-null, receives
+  // `tenant` (empty = shared pool only): a one-request LookupBatch, so
+  // the engine has one lookup path.  `trace`, when non-null, receives
   // embed / ANN probe / judger / commit spans and the shard id.
   std::optional<CacheHit> Lookup(std::string_view query,
                                  telemetry::RequestTrace* trace = nullptr,
@@ -201,15 +194,14 @@ class ConcurrentShardedEngine {
   // request order.  Every request's hit/miss, similarities, verdicts,
   // and tenant visibility are identical to calling Lookup sequentially
   // (same snapshot, same exact-rerank, same stage-2 walk; commits do not
-  // change probe-relevant state).  A one-element batch — or an engine
-  // running with lock_free_probe=false — degenerates to sequential
-  // Lookup calls.
+  // change probe-relevant state), and so to single-threaded SemanticCache
+  // over FlatIndex.
   void LookupBatch(std::span<BatchLookupRequest> batch);
 
   // Read-only lookup: the same two-stage probe, but nothing commits — no
-  // frequency bump, no judgment log, no stats.  With lock_free_probe this
-  // touches no shard mutex at all, so concurrent Peeks scale with cores
-  // (the probe-scaling leg of bench_concurrency measures exactly this);
+  // frequency bump, no judgment log, no stats.  It touches no shard mutex
+  // at all, so concurrent Peeks scale with cores (the probe-scaling leg
+  // of bench_concurrency measures exactly this);
   // it is also the right call for health checks and cache-warmness
   // queries that must not perturb eviction state.
   std::optional<CacheHit> Peek(std::string_view query,
@@ -286,10 +278,9 @@ class ConcurrentShardedEngine {
 
   ConcurrentEngineStats Stats() const;
 
-  // Diagnostics for the lock-free probe's consistency: the SE ids in
-  // `shard`'s published snapshot (empty with lock_free_probe=false), and
-  // the ids resident in its cache store.  After every write returns, the
-  // two sets are equal.
+  // Diagnostics for the probe's consistency: the SE ids in `shard`'s
+  // published snapshot, and the ids resident in its cache store.  After
+  // every write returns, the two sets are equal.
   std::vector<SeId> PublishedIds(std::size_t shard);
   std::vector<SeId> StoreIds(std::size_t shard) const;
 
@@ -313,8 +304,8 @@ class ConcurrentShardedEngine {
     // The currently published snapshot.  Readers load it seq_cst inside an
     // EpochReadGuard; writers exchange it seq_cst under the exclusive lock
     // and retire the old value to the engine's EpochDomain (the epoch
-    // contract requires seq_cst on both sides).  nullptr until the first
-    // publish (readers treat that as an empty shard).
+    // contract requires seq_cst on both sides).  Never null while the
+    // engine lives: the constructor publishes an empty snapshot.
     std::atomic<const ShardSnapshot*> snapshot{nullptr};
     // A retired snapshot whose grace period has passed, kept as the next
     // publish's copy destination so steady-state publishes reuse its
@@ -383,13 +374,8 @@ class ConcurrentShardedEngine {
   // (LoadSnapshot defers to one publish per touched shard).
   std::optional<SeId> RestoreIntoShard(Shard& shard, SemanticElement se,
                                        double now, bool publish);
-  // The epoch-protected probe (phases 1+2); returns the same LookupResult
-  // the locked SemanticCache::Probe produces.  Takes no shard lock.
-  SemanticCache::LookupResult LockFreeProbe(Shard& shard,
-                                            std::string_view query,
-                                            double now,
-                                            std::string_view tenant,
-                                            ProbeTiming* timing);
+  // Sets the epoch_lag / retired_pending gauges from the EpochDomain.
+  void UpdateEpochGauges();
 
   // Publishes what changed inside a shard mutation (insert / purge):
   // cache-layer counter deltas plus resident-size gauge deltas.
@@ -433,6 +419,9 @@ class ConcurrentShardedEngine {
   telemetry::Counter* snapshot_rows_copied_ = nullptr;
   telemetry::AtomicHistogram* publish_seconds_ = nullptr;
   telemetry::Gauge* limbo_rows_ = nullptr;
+  // Reclamation backlog: EpochDomain::reclaim_lag / pending_retired.
+  telemetry::Gauge* epoch_lag_ = nullptr;
+  telemetry::Gauge* retired_pending_ = nullptr;
   telemetry::Counter* restore_future_dated_ = nullptr;
 
   // Cache-layer instruments (cortex_cache_*), fed by before/after deltas

@@ -9,36 +9,19 @@
 namespace cortex::serve {
 
 double SnapshotSlack(RowFormat format) noexcept {
-  // f32 scans at the same precision as the locked path's float scan; the
+  // f32 scans at the same precision as FlatIndex's float scan; the
   // quantized formats need headroom for roundtrip error.
   return format == RowFormat::kF32 ? 0.0 : kQuantSimSlack;
 }
 
 void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
                       ProbeScratch& scratch) {
-  scratch.ranked.clear();
-  const std::size_t n = snap.size();
-  if (n == 0) return;
   DCHECK_EQ(query.size(), snap.dim);
-
-  scratch.sims.resize(n);
-  switch (snap.format) {
-    case RowFormat::kF32:
-      simd::DotRows(query, snap.rows_f32.data(), n, scratch.sims.data());
-      break;
-    case RowFormat::kF16:
-      simd::DotRowsF16(query, snap.rows_f16.data(), n, scratch.sims.data());
-      break;
-    case RowFormat::kI8: {
-      // One query quantization per probe; the integer dot itself is exact.
-      scratch.q8.resize(snap.dim);
-      const float q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
-      simd::DotRowsI8(scratch.q8.data(), q_scale, snap.rows_i8.data(),
-                      snap.scales_i8.data(), n, snap.dim,
-                      scratch.sims.data());
-      break;
-    }
-  }
+  // A one-query batch: the multi-query kernels at nq = 1 run the same
+  // loops as the single-query ones, so there is one scan path.
+  scratch.sims.resize(snap.size());
+  SnapshotScanMq(snap, query.data(), 1, query.size(), scratch,
+                 scratch.sims.data());
   SnapshotRankFromSims(snap, query, scratch.sims.data(), scratch);
 }
 
@@ -73,7 +56,7 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
 
   // Exact rerank over the fp32 originals with the scalar double kernel —
   // the same rescoring FlatIndex::Search applies, so the ranked list is
-  // what the locked kFlat path would have produced.
+  // what a core SemanticCache over FlatIndex would have produced.
   const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
   for (std::size_t i = 0; i < pool_size; ++i) {
     const std::uint32_t idx = keep[i];
@@ -124,56 +107,35 @@ void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
   }
 }
 
-SemanticCache::LookupResult SnapshotJudge(
-    std::span<const RankedCandidate> ranked, const SineOptions& opt,
-    Vector query_embedding, std::string_view query, double now,
-    std::string_view tenant, const JudgerModel* judger) {
+SemanticCache::LookupResult SnapshotJudge(ProbeScratch& scratch,
+                                          const SineOptions& opt,
+                                          std::string_view query, double now,
+                                          std::string_view tenant,
+                                          const JudgerModel* judger) {
   SemanticCache::LookupResult result;
-  result.query_embedding = std::move(query_embedding);
-  result.sine.ann_candidates = ranked.size();
-  if (ranked.empty()) return result;
+  result.sine.ann_candidates = scratch.ranked.size();
 
-  // Visibility mirrors SemanticCache::Probe's accessor: future-dated and
+  // Visibility matches SemanticCache::Lookup's accessor: future-dated and
   // expired entries are skipped (never removed — this path is read-only),
   // and another tenant's private entries stay invisible.  The top_k
   // truncation deliberately ran FIRST: stage 1 has no tenant concept in
-  // the locked path either, so invisible entries consume top_k slots
-  // there too.
-  const auto visible = [&](const ProbeRecord& r) {
-    return r.created_at <= now && r.expiration_time > now &&
-           (r.tenant.empty() || r.tenant == tenant);
-  };
-
-  if (!opt.use_judger) {
-    // Agent_ANN ablation: top similarity wins outright.
-    for (const RankedCandidate& r : ranked) {
-      if (r.sim < opt.ann_only_threshold) continue;
-      const ProbeRecord& rec = *r.record;
-      if (!visible(rec)) continue;
-      result.sine.match = SineCandidate{rec.id, r.sim, 0.0};
-      result.hit = CacheHit{rec.id, rec.value, rec.key, r.sim, 0.0};
-      break;  // candidates are sorted best-first
-    }
-    return result;
-  }
-
-  CHECK(judger != nullptr) << "use_judger requires a judger model";
-  for (const RankedCandidate& r : ranked) {
+  // the core cache either, so invisible entries consume top_k slots there
+  // too.
+  auto& visible = scratch.visible;
+  visible.clear();
+  for (const RankedCandidate& r : scratch.ranked) {
     const ProbeRecord& rec = *r.record;
-    if (!visible(rec)) continue;
-    JudgeRequest req;
-    req.query = query;
-    req.cached_query = rec.key;
-    req.cached_result = rec.value;
-    req.embedding_similarity = r.sim;
-    const double score = judger->Judge(req);
-    ++result.sine.judger_calls;
-    result.sine.judged.push_back({rec.id, r.sim, score});
-    if (score >= opt.tau_lsm) {
-      result.sine.match = SineCandidate{rec.id, r.sim, score};
-      result.hit = CacheHit{rec.id, rec.value, rec.key, r.sim, score};
-      break;
+    if (rec.created_at <= now && rec.expiration_time > now &&
+        (rec.tenant.empty() || rec.tenant == tenant)) {
+      visible.push_back({rec.id, r.sim, rec.key, rec.value});
     }
+  }
+  const std::size_t i =
+      JudgeCandidates(visible, query, opt, judger, result.sine);
+  if (result.sine.match) {
+    const JudgeCandidate& c = visible[i];
+    result.hit = CacheHit{c.id, std::string(c.value), std::string(c.key),
+                          c.similarity, result.sine.match->judger_score};
   }
   return result;
 }

@@ -24,28 +24,28 @@
 // (one memcpy each) and applies only the changed slots — swap-remove and
 // append — so scan order is arbitrary; ranking breaks ties by (sim, id).
 //
-// Probing is two-phase, mirroring FlatIndex::Search's variant-stable
-// ranking (ann/flat_index.cc):
+// A snapshot is the shard's only candidate index: the shard's
+// SemanticCache keeps no VectorIndex, so Sine's stage 1 (paper §4.2) runs
+// here, two-phase, mirroring FlatIndex::Search's variant-stable ranking
+// (ann/flat_index.cc):
 //   1. scan — one gather-kernel pass over the quantized rows, prefilter
 //      at tau_sim minus a quantization slack, keep a pool of the best
 //      max(4*top_k, 32) candidates;
 //   2. rerank — rescore the pool with the scalar double-precision fp32
 //      kernel, filter/sort/truncate exactly like FlatIndex.  Because the
 //      exact rerank reads fp32 originals, the final top-k and hit
-//      decision are bit-identical to the locked kFlat path whatever scan
-//      format or SIMD variant ran phase 1.
+//      decision are bit-identical to single-threaded SemanticCache over
+//      FlatIndex whatever scan format or SIMD variant ran phase 1.
 //
 // Both phases run INSIDE the epoch guard and allocate nothing on the
 // steady state: callers pass a ProbeScratch whose vectors amortize to
 // the shard's high-water mark.  (The original design pooled shared_ptr
 // copies so the rerank could run outside the guard; under contention the
-// refcount RMWs on shared record control blocks dominated the probe and
-// made the epoch path slower than the locked one — see the
-// concurrency_probe bench.)  Stage 2 — visibility plus the judger
-// best-first walk — is SnapshotJudge, shared verbatim between the
-// sequential probe and the batched pipeline, both judging borrowed
-// records inside their guard, so both paths produce identical results by
-// construction.
+// refcount RMWs on shared record control blocks dominated the probe.)
+// Stage 2 — visibility plus core/sine's JudgeCandidates, the same walk
+// SemanticCache::Lookup runs — is SnapshotJudge, shared verbatim between
+// Peek's probe and LookupBatch, both judging borrowed records inside
+// their guard, so both produce identical results by construction.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +119,11 @@ struct ProbeScratch {
   std::vector<float> q8_scales;     // per-query i8 scales (mq scan)
   std::vector<std::uint32_t> keep;  // prefilter survivors (row indices)
   std::vector<RankedCandidate> ranked;  // phase-2 output, best-first
+  std::vector<JudgeCandidate> visible;  // stage-2 input (SnapshotJudge)
 };
 
-// Phases 1+2 for one query: quantized scan into scratch.sims, then
-// SnapshotRankFromSims.  MUST run inside an EpochReadGuard with `snap`
+// Phases 1+2 for one query: SnapshotScanMq at nq = 1 into scratch.sims,
+// then SnapshotRankFromSims.  MUST run inside an EpochReadGuard with `snap`
 // loaded (seq_cst) from the shard's snapshot pointer.  Takes no locks.
 void SnapshotScanRank(const ShardSnapshot& snap,
                       std::span<const float> query, ProbeScratch& scratch);
@@ -146,16 +147,17 @@ void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
                     std::size_t nq, std::size_t qstride,
                     ProbeScratch& scratch, float* sims_out);
 
-// Stage 2 over an exact-ranked candidate list (sorted best-first,
-// already truncated to top_k): applies visibility (created_at <= now,
-// not expired, tenant match) and the judger best-first short-circuit (or
-// the ann-only ablation), and fills a LookupResult compatible with
-// SemanticCache::CommitLookup.  `judger` may be null iff opt.use_judger
-// is false.  Takes no locks; safe inside an epoch guard (the judger is
-// pure).
-SemanticCache::LookupResult SnapshotJudge(
-    std::span<const RankedCandidate> ranked, const SineOptions& opt,
-    Vector query_embedding, std::string_view query, double now,
-    std::string_view tenant, const JudgerModel* judger);
+// Stage 2 over scratch.ranked (exact-ranked, best-first, already
+// truncated to top_k): keeps the candidates visible at `now` to `tenant`
+// (created_at <= now, not expired, tenant match) and runs core/sine's
+// JudgeCandidates over them, filling a LookupResult (query_embedding
+// left empty) for SemanticCache::CommitLookup.  `judger` may be null iff
+// opt.use_judger is false.  Takes no locks; safe inside an epoch guard
+// (the judger is pure).
+SemanticCache::LookupResult SnapshotJudge(ProbeScratch& scratch,
+                                          const SineOptions& opt,
+                                          std::string_view query, double now,
+                                          std::string_view tenant,
+                                          const JudgerModel* judger);
 
 }  // namespace cortex::serve

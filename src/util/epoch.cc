@@ -1,5 +1,6 @@
 #include "util/epoch.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -136,6 +137,18 @@ void EpochDomain::DrainBlocking() {
 std::size_t EpochDomain::pending_retired() const {
   MutexLock lock(retire_mu_);
   return retired_.size();
+}
+
+std::uint64_t EpochDomain::reclaim_lag() const {
+  MutexLock lock(retire_mu_);
+  if (retired_.empty()) return 0;
+  // Concurrent retirers stamp before taking the lock, so the list is only
+  // nearly sorted: take the minimum.
+  std::uint64_t oldest = retired_.front().epoch;
+  for (const RetiredItem& item : retired_) {
+    oldest = std::min(oldest, item.epoch);
+  }
+  return current_epoch() - oldest + 1;
 }
 
 EpochReadGuard::EpochReadGuard(EpochDomain& domain)

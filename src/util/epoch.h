@@ -103,6 +103,14 @@ class EpochDomain {
   }
   // Retired items whose callbacks have not yet run (tests/metrics).
   std::size_t pending_retired() const;
+  // Epochs reclamation trails the current epoch: current_epoch() minus
+  // the newest epoch whose every retiree has run — 0 when nothing is
+  // pending, else current - (oldest pending stamp) + 1.  A flush runs
+  // every retiree that would make this exceed 2, so after a flush it is
+  // at most 2; it sits at 2 while a reader parked in a critical section
+  // blocks the next advance, during which pending_retired() keeps
+  // growing.
+  std::uint64_t reclaim_lag() const;
 
  private:
   friend class EpochReadGuard;

@@ -7,6 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,57 +211,89 @@ TEST_F(ConcurrentEngineTest, RecalibrationTickRunsOnEveryShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free probe (DESIGN.md §13) vs the locked fallback.  Under the
-// default kFlat index the epoch path's exact quantized scan + fp32 rerank
-// must reproduce the locked path bit for bit — same hits, same ids, same
-// similarities and judger scores, same counters — whatever scan format.
+// Lock-free probe (DESIGN.md §13) vs the single-threaded core.  The epoch
+// path's exact quantized scan + fp32 rerank must reproduce a plain
+// SemanticCache over FlatIndex per shard (same ShardFor routing) bit for
+// bit — same hits, ids, similarities and judger scores, same counters —
+// whatever the scan format, through both Lookup and LookupBatch.
+
+void ExpectSameHit(const std::optional<CacheHit>& want,
+                   const std::optional<CacheHit>& got,
+                   const std::string& context) {
+  ASSERT_EQ(want.has_value(), got.has_value()) << context;
+  if (!want) return;
+  EXPECT_EQ(want->id, got->id) << context;
+  EXPECT_EQ(want->value, got->value) << context;
+  EXPECT_EQ(want->matched_key, got->matched_key) << context;
+  EXPECT_EQ(want->similarity, got->similarity) << context;  // bit-exact
+  EXPECT_EQ(want->judger_score, got->judger_score) << context;
+}
 
 TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
+  constexpr double kNow = 1.0;
   for (const RowFormat format :
        {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
-    ConcurrentEngineOptions locked_opts = BaseOptions();
-    locked_opts.lock_free_probe = false;
-    ConcurrentEngineOptions epoch_opts = BaseOptions();
-    epoch_opts.lock_free_probe = true;
-    epoch_opts.probe_scan_format = format;
-    ConcurrentShardedEngine locked(&world_.embedder, world_.judger.get(),
-                                   locked_opts);
-    ConcurrentShardedEngine epoch(&world_.embedder, world_.judger.get(),
-                                  epoch_opts);
+    ConcurrentEngineOptions opts = BaseOptions();
+    opts.probe_scan_format = format;
+    opts.clock = [] { return kNow; };
+    ConcurrentShardedEngine sequential(&world_.embedder, world_.judger.get(),
+                                       opts);
+    ConcurrentShardedEngine batched(&world_.embedder, world_.judger.get(),
+                                    opts);
+    SemanticCacheOptions per_shard = opts.cache;
+    per_shard.capacity_tokens /= static_cast<double>(opts.num_shards);
+    std::vector<std::unique_ptr<SemanticCache>> reference;
+    for (std::size_t s = 0; s < opts.num_shards; ++s) {
+      reference.push_back(std::make_unique<SemanticCache>(
+          &world_.embedder,
+          MakeIndex(IndexType::kFlat, world_.embedder.dimension()),
+          world_.judger.get(), MakeEviction(opts.eviction), per_shard));
+    }
+    const auto ref = [&](std::string_view q) -> SemanticCache& {
+      return *reference[sequential.ShardFor(q)];
+    };
 
     const std::size_t topics = world_.universe->size();
     for (std::size_t topic = 0; topic < topics; ++topic) {
-      const auto a = locked.Insert(RequestFor(topic));
-      const auto b = epoch.Insert(RequestFor(topic));
-      ASSERT_EQ(a, b);
+      InsertRequest req = RequestFor(topic);
+      const auto want = ref(req.key).Insert(req, kNow);
+      ASSERT_EQ(sequential.Insert(req), want);
+      ASSERT_EQ(batched.Insert(std::move(req)), want);
     }
 
+    std::uint64_t ref_lookups = 0;
+    std::uint64_t ref_hits = 0;
     for (std::size_t round = 0; round < 3; ++round) {
+      std::vector<serve::BatchLookupRequest> batch;
+      std::vector<std::optional<CacheHit>> want;
       for (std::size_t topic = 0; topic < topics; ++topic) {
-        const auto& q = world_.query(topic, round + 1);
-        const auto a = locked.Lookup(q);
-        const auto b = epoch.Lookup(q);
-        ASSERT_EQ(a.has_value(), b.has_value())
-            << "format=" << RowFormatName(format) << " topic=" << topic
-            << " round=" << round;
-        if (a) {
-          EXPECT_EQ(a->id, b->id);
-          EXPECT_EQ(a->value, b->value);
-          EXPECT_EQ(a->matched_key, b->matched_key);
-          EXPECT_EQ(a->similarity, b->similarity);  // bit-exact, not near
-          EXPECT_EQ(a->judger_score, b->judger_score);
-        }
+        const std::string& q = world_.query(topic, round + 1);
+        want.push_back(ref(q).Lookup(q, kNow).hit);
+        ++ref_lookups;
+        if (want.back()) ++ref_hits;
+        const std::string context = std::string("format=") +
+                                    RowFormatName(format) +
+                                    " topic=" + std::to_string(topic) +
+                                    " round=" + std::to_string(round);
+        ExpectSameHit(want.back(), sequential.Lookup(q), "Lookup " + context);
+        batch.emplace_back().query = q;
+      }
+      batched.LookupBatch(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        ExpectSameHit(want[i], batch[i].hit,
+                      std::string("LookupBatch format=") +
+                          RowFormatName(format) + " i=" + std::to_string(i));
       }
     }
 
-    const auto sa = locked.Stats();
-    const auto sb = epoch.Stats();
-    EXPECT_EQ(sa.lookups, sb.lookups);
-    EXPECT_EQ(sa.hits, sb.hits);
-    const auto ca = locked.TotalCounters();
-    const auto cb = epoch.TotalCounters();
-    EXPECT_EQ(ca.lookups, cb.lookups);
-    EXPECT_EQ(ca.hits, cb.hits);
+    for (const ConcurrentShardedEngine* engine : {&sequential, &batched}) {
+      EXPECT_EQ(engine->Stats().lookups, ref_lookups);
+      EXPECT_EQ(engine->Stats().hits, ref_hits);
+      const CacheCounters counters = engine->TotalCounters();
+      EXPECT_EQ(counters.lookups, ref_lookups);
+      EXPECT_EQ(counters.hits, ref_hits);
+    }
+    EXPECT_GT(ref_hits, 0u);
   }
 }
 

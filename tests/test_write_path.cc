@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/snapshot.h"
+#include "embedding/simd_kernels.h"
 #include "serve/concurrent_engine.h"
 #include "test_helpers.h"
 
@@ -210,12 +212,120 @@ TEST_F(WritePathTest, WritePathStateIsInStats) {
        {"cortex_engine_snapshot_publishes",
         "cortex_engine_snapshot_rows_copied",
         "cortex_engine_publish_seconds_p99", "cortex_engine_limbo_rows",
-        "cortex_engine_restore_future_dated"}) {
+        "cortex_engine_restore_future_dated", "cortex_engine_epoch_lag",
+        "cortex_engine_retired_pending"}) {
     EXPECT_TRUE(std::any_of(stats.begin(), stats.end(),
                             [&](const auto& kv) { return kv.first == key; }))
         << key;
   }
   EXPECT_GT(CounterValue(engine, "cortex_engine_snapshot_publishes"), 0u);
+}
+
+// Wraps an oracle and parks every judger call for `park_on` until
+// released, so a Lookup for that query stays inside its EpochReadGuard.
+struct ParkingOracle : EquivalenceOracle {
+  const EquivalenceOracle* inner = nullptr;
+  std::string park_on;
+  mutable std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+
+  bool Equivalent(std::string_view query,
+                  std::string_view cached_query) const override {
+    if (query == park_on) {
+      parked.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }
+    return inner->Equivalent(query, cached_query);
+  }
+  double Staticity(std::string_view query) const override {
+    return inner->Staticity(query);
+  }
+};
+
+// Polls `pred` until it holds or 10 s pass.
+template <typename Pred>
+bool Eventually(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return pred();
+}
+
+TEST_F(WritePathTest, EpochBacklogGaugesTrackAPinnedReader) {
+  ParkingOracle oracle;
+  oracle.inner = world_.oracle.get();
+  oracle.park_on = world_.query(0, 0);
+  JudgerOptions jopts;
+  jopts.noise_sigma = 0.5;
+  const JudgerModel judger(&oracle, jopts);
+  ConcurrentEngineOptions opts = BaseOptions(nullptr);
+  // Only the housekeeping thread's epoch flush (every 20 ms of wall time)
+  // matters here, not its purge cadence.
+  opts.housekeeping_interval_sec = 3600.0;
+  ConcurrentShardedEngine engine(&world_.embedder, &judger, opts);
+  ASSERT_TRUE(engine.Insert(RequestFor(0)).has_value());
+  const auto gauge = [&](const char* name) {
+    return engine.registry()->GetGauge(name)->Value();
+  };
+  const auto drained = [&] {
+    return gauge("cortex_engine_epoch_lag") == 0.0 &&
+           gauge("cortex_engine_retired_pending") == 0.0;
+  };
+  ASSERT_TRUE(Eventually(drained));
+
+  std::thread reader([&] { engine.Lookup(oracle.park_on); });
+  const bool parked = Eventually([&] { return oracle.parked.load(); });
+  // Every publish into the parked query's shard retires a snapshot the
+  // reader may still hold.
+  const std::size_t shard = engine.ShardFor(oracle.park_on);
+  std::size_t published = 0;
+  for (std::size_t t = 1; parked && published < 8; ++t) {
+    if (engine.ShardFor(world_.query(t, 0)) != shard) continue;
+    ASSERT_TRUE(engine.Insert(RequestFor(t)).has_value());
+    ++published;
+  }
+  EXPECT_TRUE(parked && Eventually([&] {
+                return gauge("cortex_engine_epoch_lag") == 2.0 &&
+                       gauge("cortex_engine_retired_pending") >= 8.0;
+              }));
+  oracle.release.store(true);
+  reader.join();
+  EXPECT_TRUE(Eventually(drained));
+}
+
+// SEs restored without an embedding (servebench seeds its worlds this
+// way) are embedded from their key: querying with the key scores exactly
+// dot(Embed(key), Embed(key)) in the fp32 rerank.
+TEST_F(WritePathTest, EmbeddinglessRestoreEmbedsTheKey) {
+  std::vector<SemanticElement> elements(16);
+  for (std::size_t t = 0; t < elements.size(); ++t) {
+    elements[t].key = world_.query(t, 0);
+    elements[t].value = world_.answer(t);
+    elements[t].staticity = world_.topic(t).staticity;
+  }
+  std::ostringstream blob;
+  serve::WriteEngineSnapshot(blob, elements);
+  const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
+
+  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
+    std::atomic<double> now{10.0};
+    ConcurrentEngineOptions opts = BaseOptions(&now);
+    opts.probe_scan_format = format;
+    ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(), opts);
+    std::istringstream in(blob.str());
+    ASSERT_EQ(engine.LoadSnapshot(in).entries_restored, 16u);
+    for (const SemanticElement& se : elements) {
+      const Vector e = world_.embedder.Embed(se.key);
+      for (const auto& hit : {engine.Peek(se.key), engine.Lookup(se.key)}) {
+        ASSERT_TRUE(hit.has_value()) << RowFormatName(format) << " " << se.key;
+        EXPECT_EQ(hit->matched_key, se.key);
+        EXPECT_EQ(hit->similarity, exact.dot(e.data(), e.data(), e.size()));
+      }
+    }
+    EXPECT_EQ(engine.Stats().hits, 16u);
+  }
 }
 
 TEST_F(WritePathTest, JournalChurnKeepsSnapshotEqualToStore) {
