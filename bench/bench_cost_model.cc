@@ -16,8 +16,11 @@ int main(int argc, char** argv) {
                "services ===\n";
   TextTable table1({"Company", "Operation", "Cost (per 1k reqs.)"});
   for (const auto& p : StandardApiPricing()) {
-    table1.AddRow({p.provider, p.operation,
-                   "$" + TextTable::Num(p.dollars_per_1k_calls, 0)});
+    // Appended, not "$" + Num(...): gcc 12 -O3 reports a false -Wrestrict
+    // inside operator+(const char*, std::string&&).
+    std::string cost = "$";
+    cost += TextTable::Num(p.dollars_per_1k_calls, 0);
+    table1.AddRow({p.provider, p.operation, cost});
   }
   table1.Print(std::cout, csv);
 

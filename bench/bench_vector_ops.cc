@@ -11,16 +11,19 @@
 //                   ns/vector, GB/s) for machine consumption
 //   --csv           CSV tables instead of aligned text
 //   --rows=N        rows in the scanned block (default 4096)
-//   --min-ms=M      per-measurement wall budget (default 200 ms)
+//   --min-ms=M      wall budget of one timed pass (default 50 ms); each
+//                   cell reports the best of 5 passes
 //
 // A second table covers the quantized scan tier (DESIGN.md §13): the same
 // batched dot at f32 / f16 / i8 row encodings with slab-style padded
 // strides, reporting bytes streamed per scored vector — the number the
 // int8 path exists to shrink.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "embedding/simd_kernels.h"
@@ -41,26 +44,42 @@ struct Measurement {
   double speedup_vs_scalar;  // filled in after the scalar row is known
 };
 
+// Times `scan` (one call scores n vectors) over kPasses passes of at least
+// min_ms each and returns the best pass's ns/vector: on a shared host the
+// least-disturbed pass is the one that measures the kernel.
+constexpr int kPasses = 5;
+
+template <class Scan>
+double BestNsPerVector(const Scan& scan, std::size_t n, double min_ms) {
+  scan();  // warm-up: faults pages, primes caches and the branch predictor
+  double best = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t iters = 0;
+    double elapsed_ns = 0.0;
+    do {
+      scan();
+      ++iters;
+      elapsed_ns = std::chrono::duration<double, std::nano>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    } while (elapsed_ns < min_ms * 1e6);
+    best = std::min(best, elapsed_ns / (static_cast<double>(iters) *
+                                        static_cast<double>(n)));
+  }
+  return best;
+}
+
 double MeasureNsPerVector(const simd::KernelSet& kernels, const float* query,
                           const float* rows, std::size_t n, std::size_t dim,
                           double min_ms, double& checksum) {
   std::vector<float> out(n);
-  // Warm-up pass: faults pages, primes caches and the branch predictor.
-  kernels.dot_batch(query, rows, n, dim, dim, out.data());
-  checksum += static_cast<double>(out[n - 1]);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t iters = 0;
-  double elapsed_ns = 0.0;
-  do {
-    kernels.dot_batch(query, rows, n, dim, dim, out.data());
-    checksum += static_cast<double>(out[n - 1]);  // defeat dead-code elim
-    ++iters;
-    elapsed_ns = std::chrono::duration<double, std::nano>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  } while (elapsed_ns < min_ms * 1e6);
-  return elapsed_ns / (static_cast<double>(iters) * static_cast<double>(n));
+  return BestNsPerVector(
+      [&] {
+        kernels.dot_batch(query, rows, n, dim, dim, out.data());
+        checksum += static_cast<double>(out[n - 1]);  // defeat dead-code elim
+      },
+      n, min_ms);
 }
 
 struct QuantMeasurement {
@@ -119,21 +138,12 @@ double MeasureQuantNsPerVector(const simd::KernelSet& kernels,
         break;
     }
   };
-  scan();  // warm-up: faults pages, primes caches
-  checksum += static_cast<double>(out[n - 1]);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t iters = 0;
-  double elapsed_ns = 0.0;
-  do {
-    scan();
-    checksum += static_cast<double>(out[n - 1]);
-    ++iters;
-    elapsed_ns = std::chrono::duration<double, std::nano>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  } while (elapsed_ns < min_ms * 1e6);
-  return elapsed_ns / (static_cast<double>(iters) * static_cast<double>(n));
+  return BestNsPerVector(
+      [&] {
+        scan();
+        checksum += static_cast<double>(out[n - 1]);
+      },
+      n, min_ms);
 }
 
 }  // namespace
@@ -143,7 +153,7 @@ int main(int argc, char** argv) {
   const bool csv = flags.GetBool("csv", false);
   const bool json = flags.GetBool("json", false);
   const auto n = static_cast<std::size_t>(flags.GetInt("rows", 4096));
-  const double min_ms = flags.GetDouble("min-ms", 200.0);
+  const double min_ms = flags.GetDouble("min-ms", 50.0);
 
   const auto variants = simd::SupportedVariants();
   std::cout << "=== SIMD kernel throughput (dot_batch, " << n

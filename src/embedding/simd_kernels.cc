@@ -108,24 +108,118 @@ inline float DescaleI8(float query_scale, float row_scale,
   return (query_scale * row_scale) * static_cast<float>(sum);
 }
 
-void DotBatchI8Scalar(const std::int8_t* query, float query_scale,
-                      const std::int8_t* rows, const float* scales,
-                      std::size_t n, std::size_t stride, std::size_t dim,
-                      float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumScalar(query, rows + i * stride, dim));
+// The rows of one int8 scan: a gather list, or `base + i * stride` when
+// `ptrs` is null (the contiguous dot_batch_i8 shape).
+struct I8Rows {
+  const std::int8_t* const* ptrs;
+  const std::int8_t* base;
+  std::size_t stride;
+
+  const std::int8_t* operator[](std::size_t i) const noexcept {
+    return ptrs != nullptr ? ptrs[i] : base + i * stride;
+  }
+};
+
+// One int8 scan call, in dot_rows_i8_mq's terms: score (q, i) lands at
+// out[q * n + i].  The single-query entries are the nq == 1 case.
+struct I8Scan {
+  const std::int8_t* queries;
+  const float* query_scales;
+  std::size_t nq;
+  std::size_t qstride;
+  I8Rows rows;
+  const float* scales;
+  std::size_t n;
+  std::size_t dim;
+  float* out;
+};
+
+// The one int8 row loop.  Every x86 and scalar table runs it with its own
+// row-dot `Dot`, a policy with two members:
+//   Prep(q, dim)            a per-query constant, computed once per call
+//                           (VNNI's bias; 0 elsewhere);
+//   Dot4(q, prep, r[4], dim, q_scale, r_scales[4], out[4])
+//                           the exact i32 sums of q against 4 rows, each
+//                           descaled exactly as DescaleI8 does.
+// Rows advance in blocks of four; a short last block repeats its final row
+// and keeps only the live scores, so there is no single-row path.  Queries
+// run inside each block, so a block is read from memory once per batch.
+// The caller inlines this into a function compiled for Dot's target.
+template <class Dot>
+[[gnu::always_inline]] inline void ScanI8(const I8Scan& s) noexcept {
+  // Prep values live on the stack, so wider batches run in chunks of the
+  // batching pipeline's default max_batch.
+  constexpr std::size_t kQueryChunk = 16;
+  std::int32_t prep[kQueryChunk];
+  for (std::size_t q0 = 0; q0 < s.nq; q0 += kQueryChunk) {
+    const std::size_t qn = std::min(kQueryChunk, s.nq - q0);
+    for (std::size_t q = 0; q < qn; ++q) {
+      prep[q] = Dot::Prep(s.queries + (q0 + q) * s.qstride, s.dim);
+    }
+    for (std::size_t i = 0; i < s.n; i += 4) {
+      for (std::size_t p = i + 4; p < std::min(i + 8, s.n); ++p) {
+        PrefetchBytes(s.rows[p], s.dim);
+      }
+      const std::size_t live = std::min<std::size_t>(4, s.n - i);
+      const std::int8_t* r[4];
+      float rs[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        const std::size_t j = live == 4 ? i + k : std::min(i + k, s.n - 1);
+        r[k] = s.rows[j];
+        rs[k] = s.scales[j];
+      }
+      for (std::size_t q = 0; q < qn; ++q) {
+        const std::int8_t* query = s.queries + (q0 + q) * s.qstride;
+        float* o = s.out + (q0 + q) * s.n + i;
+        float short_block[4];
+        Dot::Dot4(query, prep[q], r, s.dim, s.query_scales[q0 + q], rs,
+                  live == 4 ? o : short_block);
+        if (live < 4) std::copy_n(short_block, live, o);
+      }
+    }
   }
 }
 
-void DotRowsI8Scalar(const std::int8_t* query, float query_scale,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] =
-        DescaleI8(query_scale, scales[i], DotI8SumScalar(query, rows[i], dim));
-  }
+// The three KernelSet int8 entries of a table whose row-dot is `Dot`; each
+// is one call into Dot::Scan, the target-compiled ScanI8<Dot>.
+template <class Dot>
+void DotBatchI8(const std::int8_t* query, float query_scale,
+                const std::int8_t* rows, const float* scales, std::size_t n,
+                std::size_t stride, std::size_t dim, float* out) {
+  Dot::Scan({query, &query_scale, 1, dim, {nullptr, rows, stride}, scales, n,
+             dim, out});
 }
+
+template <class Dot>
+void DotRowsI8(const std::int8_t* query, float query_scale,
+               const std::int8_t* const* rows, const float* scales,
+               std::size_t n, std::size_t dim, float* out) {
+  Dot::Scan({query, &query_scale, 1, dim, {rows, nullptr, 0}, scales, n, dim,
+             out});
+}
+
+template <class Dot>
+void DotRowsI8Mq(const std::int8_t* queries, const float* query_scales,
+                 std::size_t nq, std::size_t qstride,
+                 const std::int8_t* const* rows, const float* scales,
+                 std::size_t n, std::size_t dim, float* out) {
+  Dot::Scan({queries, query_scales, nq, qstride, {rows, nullptr, 0}, scales,
+             n, dim, out});
+}
+
+struct I8DotScalar {
+  static std::int32_t Prep(const std::int8_t*, std::size_t) noexcept {
+    return 0;
+  }
+  static void Dot4(const std::int8_t* q, std::int32_t,
+                   const std::int8_t* const* r, std::size_t dim,
+                   float q_scale, const float* r_scales, float* out) noexcept {
+    for (std::size_t k = 0; k < 4; ++k) {
+      out[k] = DescaleI8(q_scale, r_scales[k], DotI8SumScalar(q, r[k], dim));
+    }
+  }
+  static void Scan(const I8Scan& s) noexcept { ScanI8<I8DotScalar>(s); }
+};
 
 double DotF16Scalar(const float* q, const std::uint16_t* r,
                     std::size_t dim) noexcept {
@@ -190,19 +284,6 @@ void DotRowsMqScalar(const float* queries, std::size_t nq,
   }
 }
 
-void DotRowsI8MqScalar(const std::int8_t* queries, const float* query_scales,
-                       std::size_t nq, std::size_t qstride,
-                       const std::int8_t* const* rows, const float* scales,
-                       std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumScalar(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 void DotRowsF16MqScalar(const float* queries, std::size_t nq,
                         std::size_t qstride, const std::uint16_t* const* rows,
                         std::size_t n, std::size_t dim, float* out) {
@@ -216,10 +297,10 @@ void DotRowsF16MqScalar(const float* queries, std::size_t nq,
 
 constexpr KernelSet kScalarKernels = {
     DotScalar,        L2SqScalar,      DotBatchScalar,
-    DotRowsScalar,    L2SqBatchScalar, DotBatchI8Scalar,
-    DotRowsI8Scalar,  DotBatchF16Scalar, DotRowsF16Scalar,
+    DotRowsScalar,    L2SqBatchScalar, DotBatchI8<I8DotScalar>,
+    DotRowsI8<I8DotScalar>,  DotBatchF16Scalar, DotRowsF16Scalar,
     DotBatchMqScalar, L2SqBatchMqScalar, DotRowsMqScalar,
-    DotRowsI8MqScalar, DotRowsF16MqScalar,
+    DotRowsI8Mq<I8DotScalar>, DotRowsF16MqScalar, "scalar",
 };
 
 // ---------------------------------------------------------------------------
@@ -235,6 +316,8 @@ constexpr KernelSet kScalarKernels = {
 // and VariantSupported checks it at runtime anyway.
 #define CORTEX_TARGET_AVX2F16 __attribute__((target("avx2,fma,f16c")))
 #define CORTEX_TARGET_AVX512 __attribute__((target("avx512f")))
+#define CORTEX_TARGET_VNNI \
+  __attribute__((target("avx512f,avx512bw,avx512vnni")))
 
 CORTEX_TARGET_AVX2 inline float HSum8(__m256 v) {
   __m128 lo = _mm256_castps256_ps128(v);
@@ -362,56 +445,103 @@ void L2SqBatchAvx2(const float* query, const float* rows, std::size_t n,
   }
 }
 
-// Integer int8 dot: widen to i16, VPMADDWD pairs into i32 lanes.  Exact,
-// so it agrees bit-for-bit with DotI8SumScalar.
-CORTEX_TARGET_AVX2 inline std::int32_t HSumI32x8(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2)));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(lo);
+// Finishes an x86 Dot4: adds the bytes past the vector steps (from `i`)
+// to the four exact sums, then descales all four in SSE lanes.  Each lane
+// evaluates DescaleI8's expression — (q_scale * r_scale) * float(sum), two
+// IEEE multiplies and a round-to-nearest conversion — so the scores are
+// bit-identical to the scalar ones.  SSE2 only: baseline x86-64, so both
+// the AVX2 and the VNNI row-dots inline it.
+inline void FinishDot4(__m128i sums, const std::int8_t* q,
+                       const std::int8_t* const* r, std::size_t i,
+                       std::size_t dim, float q_scale, const float* r_scales,
+                       float* out) {
+  if (i < dim) {
+    alignas(16) std::int32_t t[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(t), sums);
+    for (; i < dim; ++i) {
+      const std::int32_t qi = q[i];
+      for (std::size_t k = 0; k < 4; ++k) t[k] += qi * r[k][i];
+    }
+    sums = _mm_load_si128(reinterpret_cast<const __m128i*>(t));
+  }
+  const __m128 scale =
+      _mm_mul_ps(_mm_set1_ps(q_scale), _mm_loadu_ps(r_scales));
+  _mm_storeu_ps(out, _mm_mul_ps(scale, _mm_cvtepi32_ps(sums)));
 }
 
-CORTEX_TARGET_AVX2 std::int32_t DotI8SumAvx2(const std::int8_t* a,
-                                             const std::int8_t* b,
-                                             std::size_t dim) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  std::int32_t sum = HSumI32x8(acc);
-  for (; i < dim; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return sum;
-}
-
-void DotBatchI8Avx2(const std::int8_t* query, float query_scale,
-                    const std::int8_t* rows, const float* scales,
-                    std::size_t n, std::size_t stride, std::size_t dim,
-                    float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim);
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumAvx2(query, rows + i * stride, dim));
+// int8 row-dot, AVX2: VPMADDUBSW multiplies u8 by s8 and adds adjacent
+// pairs into i16, so feed it |q| and r with q's sign moved onto it
+// (VPSIGNB): |q| * sign(r, q) = q * r.  Exact under the [-127, 127] input
+// contract: a pair sum is at most 2 * 127^2 = 32258 < 2^15, so the i16
+// never saturates.  VPMADDWD by 1 then widens the pairs into i32 lanes.
+// A 16-byte step zero-extends its loads (sign(0, q) = 0, so the zero upper
+// half adds nothing); bytes past the last 16-byte boundary go scalar.
+template <std::size_t kBytes>
+CORTEX_TARGET_AVX2 inline __m256i LoadI8Avx2(const std::int8_t* p) {
+  if constexpr (kBytes == 32) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  } else {
+    return _mm256_zextsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
 }
 
-void DotRowsI8Avx2(const std::int8_t* query, float query_scale,
-                   const std::int8_t* const* rows, const float* scales,
-                   std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    out[i] =
-        DescaleI8(query_scale, scales[i], DotI8SumAvx2(query, rows[i], dim));
-  }
+template <std::size_t kBytes>
+CORTEX_TARGET_AVX2 inline __m256i MaddubsRow(__m256i acc, __m256i qa,
+                                             __m256i qv,
+                                             const std::int8_t* row) {
+  const __m256i pairs = _mm256_maddubs_epi16(
+      qa, _mm256_sign_epi8(LoadI8Avx2<kBytes>(row), qv));
+  return _mm256_add_epi32(acc,
+                          _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
 }
+
+// One step of four rows; the accumulators are named, not an array, so they
+// stay in registers.
+template <std::size_t kBytes>
+CORTEX_TARGET_AVX2 inline void Step4Maddubs(const std::int8_t* q,
+                                            const std::int8_t* const* r,
+                                            std::size_t i, __m256i& a0,
+                                            __m256i& a1, __m256i& a2,
+                                            __m256i& a3) {
+  const __m256i qv = LoadI8Avx2<kBytes>(q + i);
+  const __m256i qa = _mm256_abs_epi8(qv);
+  a0 = MaddubsRow<kBytes>(a0, qa, qv, r[0] + i);
+  a1 = MaddubsRow<kBytes>(a1, qa, qv, r[1] + i);
+  a2 = MaddubsRow<kBytes>(a2, qa, qv, r[2] + i);
+  a3 = MaddubsRow<kBytes>(a3, qa, qv, r[3] + i);
+}
+
+struct I8DotMaddubs {
+  static std::int32_t Prep(const std::int8_t*, std::size_t) noexcept {
+    return 0;
+  }
+
+  CORTEX_TARGET_AVX2 static void Dot4(const std::int8_t* q, std::int32_t,
+                                      const std::int8_t* const* r,
+                                      std::size_t dim, float q_scale,
+                                      const float* r_scales, float* out) {
+    __m256i a0 = _mm256_setzero_si256();
+    __m256i a1 = a0, a2 = a0, a3 = a0;
+    std::size_t i = 0;
+    for (; i + 32 <= dim; i += 32) Step4Maddubs<32>(q, r, i, a0, a1, a2, a3);
+    if (i + 16 <= dim) {
+      Step4Maddubs<16>(q, r, i, a0, a1, a2, a3);
+      i += 16;
+    }
+    // Shared horizontal reduce: three VPHADDDs leave row k's two 128-bit
+    // half sums in lane k of each half.
+    const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
+                                        _mm256_hadd_epi32(a2, a3));
+    FinishDot4(_mm_add_epi32(_mm256_castsi256_si128(h),
+                             _mm256_extracti128_si256(h, 1)),
+               q, r, i, dim, q_scale, r_scales, out);
+  }
+
+  CORTEX_TARGET_AVX2 static void Scan(const I8Scan& s) {
+    ScanI8<I8DotMaddubs>(s);
+  }
+};
 
 CORTEX_TARGET_AVX2F16 float DotF16Avx2(const float* q, const std::uint16_t* r,
                                        std::size_t dim) {
@@ -511,20 +641,6 @@ void DotRowsMqAvx2(const float* queries, std::size_t nq, std::size_t qstride,
   }
 }
 
-void DotRowsI8MqAvx2(const std::int8_t* queries, const float* query_scales,
-                     std::size_t nq, std::size_t qstride,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumAvx2(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 void DotRowsF16MqAvx2(const float* queries, std::size_t nq,
                       std::size_t qstride, const std::uint16_t* const* rows,
                       std::size_t n, std::size_t dim, float* out) {
@@ -538,10 +654,10 @@ void DotRowsF16MqAvx2(const float* queries, std::size_t nq,
 
 constexpr KernelSet kAvx2Kernels = {
     DotAvx2,        L2SqAvx2,      DotBatchAvx2,
-    DotRowsAvx2,    L2SqBatchAvx2, DotBatchI8Avx2,
-    DotRowsI8Avx2,  DotBatchF16Avx2, DotRowsF16Avx2,
+    DotRowsAvx2,    L2SqBatchAvx2, DotBatchI8<I8DotMaddubs>,
+    DotRowsI8<I8DotMaddubs>,  DotBatchF16Avx2, DotRowsF16Avx2,
     DotBatchMqAvx2, L2SqBatchMqAvx2, DotRowsMqAvx2,
-    DotRowsI8MqAvx2, DotRowsF16MqAvx2,
+    DotRowsI8Mq<I8DotMaddubs>, DotRowsF16MqAvx2, "maddubs",
 };
 
 // ---------------------------------------------------------------------------
@@ -658,47 +774,97 @@ void L2SqBatchAvx512(const float* query, const float* rows, std::size_t n,
   }
 }
 
-// AVX512F-only (no BW/VNNI assumed): widen int8 to i32 lanes, VPMULLD,
-// reduce.  Exact i32 arithmetic, so bit-identical to scalar.
-CORTEX_TARGET_AVX512 std::int32_t DotI8SumAvx512(const std::int8_t* a,
-                                                 const std::int8_t* b,
-                                                 std::size_t dim) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512i av = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m512i bv = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(av, bv));
-  }
-  std::int32_t sum = static_cast<std::int32_t>(_mm512_reduce_add_epi32(acc));
-  for (; i < dim; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return sum;
-}
-
-void DotBatchI8Avx512(const std::int8_t* query, float query_scale,
-                      const std::int8_t* rows, const float* scales,
-                      std::size_t n, std::size_t stride, std::size_t dim,
-                      float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim);
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumAvx512(query, rows + i * stride, dim));
+// int8 row-dot, AVX-512 VNNI: VPDPBUSD multiplies u8 by s8 and adds each
+// group of four products into an i32 lane, without saturation.  Rows go in
+// as u8 after XOR 0x80 (r + 128), the query as s8, so each lane gathers
+// sum((r + 128) * q) = sum(r * q) + 128 * sum(q); Prep computes that
+// 128 * sum(q) once per query per call and Dot4 subtracts it.  Exact for
+// every int8 input: all adds wrap mod 2^32 and the true dot fits an i32.
+// 32- and 16-byte steps zero-extend both loads (the flipped zero row bytes
+// meet zero query bytes), so Prep's sum covers dim rounded down to 16;
+// bytes past that go scalar.
+template <std::size_t kBytes>
+CORTEX_TARGET_VNNI inline __m512i LoadI8Vnni(const std::int8_t* p) {
+  if constexpr (kBytes == 64) {
+    return _mm512_loadu_si512(p);
+  } else if constexpr (kBytes == 32) {
+    return _mm512_zextsi256_si512(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  } else {
+    return _mm512_zextsi128_si512(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
 }
 
-void DotRowsI8Avx512(const std::int8_t* query, float query_scale,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    out[i] =
-        DescaleI8(query_scale, scales[i], DotI8SumAvx512(query, rows[i], dim));
-  }
+template <std::size_t kBytes>
+CORTEX_TARGET_VNNI inline __m512i DpbusdRow(__m512i acc, __m512i qv,
+                                            const std::int8_t* row) {
+  return _mm512_dpbusd_epi32(
+      acc, _mm512_xor_si512(LoadI8Vnni<kBytes>(row), _mm512_set1_epi8(-128)),
+      qv);
 }
+
+template <std::size_t kBytes>
+CORTEX_TARGET_VNNI inline void Step4Vnni(const std::int8_t* q,
+                                         const std::int8_t* const* r,
+                                         std::size_t i, __m512i& a0,
+                                         __m512i& a1, __m512i& a2,
+                                         __m512i& a3) {
+  const __m512i qv = LoadI8Vnni<kBytes>(q + i);
+  a0 = DpbusdRow<kBytes>(a0, qv, r[0] + i);
+  a1 = DpbusdRow<kBytes>(a1, qv, r[1] + i);
+  a2 = DpbusdRow<kBytes>(a2, qv, r[2] + i);
+  a3 = DpbusdRow<kBytes>(a3, qv, r[3] + i);
+}
+
+struct I8DotVnni {
+  static std::int32_t Prep(const std::int8_t* q, std::size_t dim) noexcept {
+    std::uint32_t sum = 0;
+    for (std::size_t i = 0; i < (dim & ~std::size_t{15}); ++i) {
+      sum += static_cast<std::uint32_t>(q[i]);
+    }
+    return static_cast<std::int32_t>(sum * 128u);
+  }
+
+  CORTEX_TARGET_VNNI static void Dot4(const std::int8_t* q, std::int32_t bias,
+                                      const std::int8_t* const* r,
+                                      std::size_t dim, float q_scale,
+                                      const float* r_scales, float* out) {
+    __m512i a0 = _mm512_setzero_si512();
+    __m512i a1 = a0, a2 = a0, a3 = a0;
+    std::size_t i = 0;
+    for (; i + 64 <= dim; i += 64) Step4Vnni<64>(q, r, i, a0, a1, a2, a3);
+    if (i + 32 <= dim) {
+      Step4Vnni<32>(q, r, i, a0, a1, a2, a3);
+      i += 32;
+    }
+    if (i + 16 <= dim) {
+      Step4Vnni<16>(q, r, i, a0, a1, a2, a3);
+      i += 16;
+    }
+    // Shared horizontal reduce: interleave-and-add pairs, then quads, so
+    // each 128-bit lane holds partial sums of rows 0..3 in order; fold the
+    // four lanes.
+    const __m512i s01 =
+        _mm512_add_epi32(_mm512_unpacklo_epi32(a0, a1),
+                         _mm512_unpackhi_epi32(a0, a1));
+    const __m512i s23 =
+        _mm512_add_epi32(_mm512_unpacklo_epi32(a2, a3),
+                         _mm512_unpackhi_epi32(a2, a3));
+    const __m512i s0123 = _mm512_add_epi32(_mm512_unpacklo_epi64(s01, s23),
+                                           _mm512_unpackhi_epi64(s01, s23));
+    const __m256i h = _mm256_add_epi32(_mm512_castsi512_si256(s0123),
+                                       _mm512_extracti64x4_epi64(s0123, 1));
+    const __m128i sums = _mm_add_epi32(_mm256_castsi256_si128(h),
+                                       _mm256_extracti128_si256(h, 1));
+    FinishDot4(_mm_sub_epi32(sums, _mm_set1_epi32(bias)), q, r, i, dim,
+               q_scale, r_scales, out);
+  }
+
+  CORTEX_TARGET_VNNI static void Scan(const I8Scan& s) {
+    ScanI8<I8DotVnni>(s);
+  }
+};
 
 CORTEX_TARGET_AVX512 float DotF16Avx512(const float* q,
                                         const std::uint16_t* r,
@@ -788,20 +954,6 @@ void DotRowsMqAvx512(const float* queries, std::size_t nq,
   }
 }
 
-void DotRowsI8MqAvx512(const std::int8_t* queries, const float* query_scales,
-                       std::size_t nq, std::size_t qstride,
-                       const std::int8_t* const* rows, const float* scales,
-                       std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumAvx512(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 void DotRowsF16MqAvx512(const float* queries, std::size_t nq,
                         std::size_t qstride, const std::uint16_t* const* rows,
                         std::size_t n, std::size_t dim, float* out) {
@@ -815,11 +967,27 @@ void DotRowsF16MqAvx512(const float* queries, std::size_t nq,
 
 constexpr KernelSet kAvx512Kernels = {
     DotAvx512,        L2SqAvx512,      DotBatchAvx512,
-    DotRowsAvx512,    L2SqBatchAvx512, DotBatchI8Avx512,
-    DotRowsI8Avx512,  DotBatchF16Avx512, DotRowsF16Avx512,
+    DotRowsAvx512,    L2SqBatchAvx512, DotBatchI8<I8DotVnni>,
+    DotRowsI8<I8DotVnni>,  DotBatchF16Avx512, DotRowsF16Avx512,
     DotBatchMqAvx512, L2SqBatchMqAvx512, DotRowsMqAvx512,
-    DotRowsI8MqAvx512, DotRowsF16MqAvx512,
+    DotRowsI8Mq<I8DotVnni>, DotRowsF16MqAvx512, "vnni",
 };
+
+// The avx512 table on a CPU without AVX-512 BW + VNNI: the AVX2 int8
+// entries (the 16-lane float kernels only need AVX-512F).
+constexpr KernelSet WithI8Of(KernelSet k, const KernelSet& from) {
+  k.dot_batch_i8 = from.dot_batch_i8;
+  k.dot_rows_i8 = from.dot_rows_i8;
+  k.dot_rows_i8_mq = from.dot_rows_i8_mq;
+  k.i8_kernel = from.i8_kernel;
+  return k;
+}
+constexpr KernelSet kAvx512NoVnniKernels = WithI8Of(kAvx512Kernels, kAvx2Kernels);
+
+bool CpuHasAvx512Vnni() noexcept {
+  return __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vnni");
+}
 
 #endif  // CORTEX_SIMD_HAVE_X86
 
@@ -1081,7 +1249,7 @@ constexpr KernelSet kNeonKernels = {
     DotRowsNeon,    L2SqBatchNeon, DotBatchI8Neon,
     DotRowsI8Neon,  DotBatchF16Neon, DotRowsF16Neon,
     DotBatchMqNeon, L2SqBatchMqNeon, DotRowsMqNeon,
-    DotRowsI8MqNeon, DotRowsF16MqNeon,
+    DotRowsI8MqNeon, DotRowsF16MqNeon, "neon",
 };
 
 #endif  // CORTEX_SIMD_HAVE_NEON
@@ -1219,7 +1387,10 @@ bool VariantSupported(Variant v) noexcept {
 #endif
     case Variant::kAvx512:
 #if CORTEX_SIMD_HAVE_X86
-      return __builtin_cpu_supports("avx512f");
+      // Without VNNI the table runs the AVX2 int8 entries, so require the
+      // AVX2 tier too (every AVX-512F core has it).
+      return __builtin_cpu_supports("avx512f") &&
+             VariantSupported(Variant::kAvx2);
 #else
       return false;
 #endif
@@ -1259,7 +1430,7 @@ const KernelSet& KernelsFor(Variant v) {
     case Variant::kAvx2:
       return kAvx2Kernels;
     case Variant::kAvx512:
-      return kAvx512Kernels;
+      return CpuHasAvx512Vnni() ? kAvx512Kernels : kAvx512NoVnniKernels;
 #endif
 #if CORTEX_SIMD_HAVE_NEON
     case Variant::kNeon:

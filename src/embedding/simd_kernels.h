@@ -57,11 +57,14 @@ struct KernelSet {
 
   // Quantized scan-tier kernels (DESIGN.md §13).  int8 rows use symmetric
   // per-row scales (row = scale * q[0..dim)); the query is pre-quantized
-  // once per probe with QuantizeRowI8.  The integer dot is exact (i32
-  // accumulation, no overflow below dim ~1.3e5), so int8 scores are
-  // bit-identical across every variant.  fp16 rows are IEEE binary16;
-  // decode is exact, accumulation follows the fp32 kernels' contract
-  // (scalar = double accumulation, SIMD = float lanes, ~1e-6 agreement).
+  // once per probe with QuantizeRowI8.  Input contract: every int8 value,
+  // query and row alike, lies in [-127, 127] (QuantizeRowI8's range).  The
+  // integer dot is exact under that contract for dim below ~1.3e5 (the i32
+  // sum of dim * 127^2 stays below 2^31), so int8 scores are bit-identical
+  // across every variant (DESIGN.md §9.2 gives each kernel's bound).
+  // fp16 rows are IEEE binary16; decode is exact, accumulation follows the
+  // fp32 kernels' contract (scalar = double accumulation, SIMD = float
+  // lanes, ~1e-6 agreement).
   void (*dot_batch_i8)(const std::int8_t* query, float query_scale,
                        const std::int8_t* rows, const float* scales,
                        std::size_t n, std::size_t stride, std::size_t dim,
@@ -102,6 +105,11 @@ struct KernelSet {
                           std::size_t qstride,
                           const std::uint16_t* const* rows, std::size_t n,
                           std::size_t dim, float* out);
+
+  // The int8 row-dot this table runs: "scalar", "maddubs" (AVX2),
+  // "vnni" (AVX-512 VNNI) or "neon".  The avx512 table on a CPU without
+  // AVX-512 VNNI carries the AVX2 int8 entries, so it reads "maddubs".
+  const char* i8_kernel;
 };
 
 // ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   probe_seconds_ = registry_->GetHistogram("cortex_engine_probe_seconds");
   commit_seconds_ = registry_->GetHistogram("cortex_engine_commit_seconds");
   insert_seconds_ = registry_->GetHistogram("cortex_engine_insert_seconds");
+  scan_rows_ = registry_->GetCounter("cortex_engine_scan_rows");
   snapshot_publishes_ =
       registry_->GetCounter("cortex_engine_snapshot_publishes");
   snapshot_rows_copied_ =
@@ -351,6 +352,7 @@ std::optional<CacheHit> ConcurrentShardedEngine::Peek(std::string_view query,
   EpochReadGuard guard(epoch_);
   const ShardSnapshot& snap = *shard.snapshot.load(std::memory_order_seq_cst);
   SnapshotScanRank(snap, query_embedding, scratch);
+  scan_rows_->Inc(snap.size());
   return SnapshotJudge(scratch, snap.sine, query, now, tenant, judger_).hit;
 }
 
@@ -429,6 +431,7 @@ void ConcurrentShardedEngine::LookupBatch(
     const std::size_t n = snap.size();
     sims.resize(gn * n);
     SnapshotScanMq(snap, gq, gn, qstride, scratch, sims.data());
+    scan_rows_->Inc(n);
     const double scan_share =
         (telemetry::WallSeconds() - scan_t0) / static_cast<double>(gn);
     for (std::size_t j = 0; j < gn; ++j) {

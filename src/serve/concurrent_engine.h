@@ -414,6 +414,9 @@ class ConcurrentShardedEngine {
   telemetry::AtomicHistogram* probe_seconds_ = nullptr;
   telemetry::AtomicHistogram* commit_seconds_ = nullptr;
   telemetry::AtomicHistogram* insert_seconds_ = nullptr;
+  // Snapshot rows streamed by stage-1 scans: each probed shard group adds
+  // its snapshot's size once, however many queries share the scan.
+  telemetry::Counter* scan_rows_ = nullptr;
   // Write-path state (DESIGN.md §13.3).
   telemetry::Counter* snapshot_publishes_ = nullptr;
   telemetry::Counter* snapshot_rows_copied_ = nullptr;

@@ -78,7 +78,10 @@ TEST(AgentModel, ZeroStepTaskAnswersImmediately) {
   AgentTask task;
   task.id = 1;
   task.description = "trivial";
-  task.final_answer = "42";
+  // Move-assigned from a std::string: assigning the literal goes through
+  // std::string::_M_replace, where gcc 12 -O3 reports a false
+  // -Wmaybe-uninitialized.
+  task.final_answer = std::string("42");
   AgentModel model;
   AgentSession session(std::move(task));
   const AgentTurn t = model.Next(session);

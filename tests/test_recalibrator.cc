@@ -7,6 +7,14 @@
 namespace cortex {
 namespace {
 
+// "q<i>", built by appending: gcc 12 -O3 reports a false -Wrestrict inside
+// operator+(const char*, std::string&&) for "q" + std::to_string(i).
+std::string QueryName(int i) {
+  std::string q = "q";
+  q += std::to_string(i);
+  return q;
+}
+
 // --- ThresholdForPrecision (Algorithm 1 lines 7-9) ---
 
 TEST(ThresholdForPrecision, EmptyInputHasNoThreshold) {
@@ -88,7 +96,7 @@ TEST(Recalibrator, RoundAnnotatesSampledJudgments) {
   Recalibrator recal(opts);
   ScriptedGt gt;
   for (int i = 0; i < 10; ++i) {
-    const std::string q = "q" + std::to_string(i);
+    const std::string q = QueryName(i);
     gt.Set(q, "truth");
     recal.LogJudgment({q, "cached-q", i % 2 ? "truth" : "wrong", 0.5 + i * 0.04});
   }
@@ -104,7 +112,7 @@ TEST(Recalibrator, FailedGtFetchesAreSkippedNotMislabelled) {
   opts.samples_per_round = 5;
   Recalibrator recal(opts);
   for (int i = 0; i < 5; ++i) {
-    recal.LogJudgment({"q" + std::to_string(i), "k", "correct value", 0.9});
+    recal.LogJudgment({QueryName(i), "k", "correct value", 0.9});
   }
   Rng rng(3);
   // Ground truth unavailable: fetches happen, nothing is annotated.
@@ -123,7 +131,7 @@ TEST(Recalibrator, ConvergesToThresholdSeparatingGoodFromBad) {
   ScriptedGt gt;
   // Judger behaviour: correct answers score ~0.8+, wrong ones ~0.4-.
   for (int i = 0; i < 60; ++i) {
-    const std::string q = "q" + std::to_string(i);
+    const std::string q = QueryName(i);
     gt.Set(q, "truth");
     const bool good = i % 3 != 0;
     recal.LogJudgment({q, "k", good ? "truth" : "stale",
@@ -149,7 +157,7 @@ TEST(Recalibrator, ThresholdClampedToConfiguredRange) {
   Recalibrator recal(opts);
   ScriptedGt gt;
   for (int i = 0; i < 40; ++i) {
-    const std::string q = "q" + std::to_string(i);
+    const std::string q = QueryName(i);
     gt.Set(q, "truth");
     // Everything correct with tiny scores: unclamped threshold would be ~0.01.
     recal.LogJudgment({q, "k", "truth", 0.01 + i * 0.001});
@@ -180,7 +188,7 @@ TEST(Recalibrator, ValidationSetIsBounded) {
   Recalibrator recal(opts);
   ScriptedGt gt;
   for (int i = 0; i < 30; ++i) {
-    const std::string q = "q" + std::to_string(i);
+    const std::string q = QueryName(i);
     gt.Set(q, "t");
     recal.LogJudgment({q, "k", "t", 0.5});
   }
@@ -195,7 +203,7 @@ TEST(Recalibrator, AnnotationsExposeTheValidationSet) {
   Recalibrator recal(opts);
   ScriptedGt gt;
   for (int i = 0; i < 8; ++i) {
-    const std::string q = "q" + std::to_string(i);
+    const std::string q = QueryName(i);
     gt.Set(q, "truth");
     recal.LogJudgment({q, "k", i % 2 ? "truth" : "wrong", 0.5});
   }

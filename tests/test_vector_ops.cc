@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "embedding/simd_kernels.h"
@@ -296,54 +297,103 @@ TEST(QuantizeRowI8, BoundsScaleAndZeroRow) {
   for (const auto b : qz) EXPECT_EQ(b, 0);
 }
 
+// Every tail path of the x86 int8 row-dots: 64/32/16-byte vector steps
+// (VNNI), 32/16-byte steps (AVX2), and the scalar bytes past the last
+// 16-byte boundary.
+constexpr std::size_t kI8Dims[] = {1,   15,  31,  33,  63,  64,  65,  127,
+                                   128, 129, 255, 256, 257, 768, 1536};
+
+// The exact score of one int8 pair, independent of every kernel table:
+// the integer dot in 64 bits, then the one descale expression the kernels
+// share.
+float I8Reference(const std::int8_t* q, float q_scale, const std::int8_t* r,
+                  float r_scale, std::size_t dim) {
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    sum += static_cast<std::int64_t>(q[i]) * static_cast<std::int64_t>(r[i]);
+  }
+  return (q_scale * r_scale) * static_cast<float>(sum);
+}
+
+// Fills one int8 vector: kind 0 is a quantized Gaussian, 1 all +127, 2 all
+// -127, 3 alternating +-127 — the extremes a naive VPMADDUBSW saturates on.
+float FillI8(std::size_t kind, std::size_t dim, Rng& rng, std::int8_t* out) {
+  if (kind == 0) {
+    Vector v(dim);
+    for (auto& x : v) x = static_cast<float>(rng.Normal());
+    return simd::QuantizeRowI8(v, out);
+  }
+  for (std::size_t i = 0; i < dim; ++i) {
+    out[i] = kind == 1 ? 127 : kind == 2 ? -127 : (i % 2 == 0 ? 127 : -127);
+  }
+  return 0.5f + 0.125f * static_cast<float>(kind);
+}
+
 // int8 kernels accumulate the integer dot exactly, so every variant must
-// return BIT-IDENTICAL floats, not merely close ones.
+// return BIT-IDENTICAL floats, not merely close ones: dot_batch_i8 over a
+// padded slab block and dot_rows_i8 over a reversed gather list, on every
+// tail path, with +-127 extremes in rows and queries.
 TEST(SimdKernels, I8KernelsBitIdenticalAcrossVariants) {
   Rng rng(29);
-  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
-  const auto variants = simd::SupportedVariants();
-  for (const std::size_t dim : {std::size_t{3}, std::size_t{31},
-                                std::size_t{64}, std::size_t{257},
-                                std::size_t{768}}) {
-    const std::size_t n = 23;
+  for (const std::size_t dim : kI8Dims) {
+    const std::size_t n = 23;  // not a multiple of the 4-row block
     const std::size_t stride = (dim + 63) / 64 * 64;  // slab i8 stride
     std::vector<std::int8_t> rows(n * stride);
     std::vector<float> scales(n);
-    Vector fp_row(dim);
     for (std::size_t i = 0; i < n; ++i) {
-      for (auto& x : fp_row) x = static_cast<float>(rng.Normal());
-      scales[i] = simd::QuantizeRowI8(fp_row, rows.data() + i * stride);
+      scales[i] = FillI8(i < 4 ? i : 0, dim, rng, rows.data() + i * stride);
     }
-    Vector query(dim);
-    for (auto& x : query) x = static_cast<float>(rng.Normal());
-    std::vector<std::int8_t> q8(dim);
-    const float q_scale = simd::QuantizeRowI8(query, q8.data());
-
     std::vector<const std::int8_t*> ptrs(n);
-    for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows.data() + i * stride;
-    std::reverse(ptrs.begin(), ptrs.end());
-    std::vector<float> ref_batch(n), ref_rows(n);
-    scalar.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
-                        stride, dim, ref_batch.data());
-    std::vector<float> rev_scales(scales.rbegin(), scales.rend());
-    scalar.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
-                       dim, ref_rows.data());
-    for (const auto v : variants) {
-      const auto& ks = simd::KernelsFor(v);
-      std::vector<float> got_batch(n), got_rows(n);
-      ks.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
-                      stride, dim, got_batch.data());
-      ks.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
-                     dim, got_rows.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got_batch[i], ref_batch[i])
-            << simd::VariantName(v) << " dot_batch_i8 dim=" << dim
-            << " i=" << i;
-        EXPECT_EQ(got_rows[i], ref_rows[i])
-            << simd::VariantName(v) << " dot_rows_i8 dim=" << dim
-            << " i=" << i;
+    std::vector<float> rev_scales(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ptrs[i] = rows.data() + (n - 1 - i) * stride;
+      rev_scales[i] = scales[n - 1 - i];
+    }
+    for (std::size_t kind = 0; kind < 4; ++kind) {
+      std::vector<std::int8_t> q8(dim);
+      const float q_scale = FillI8(kind, dim, rng, q8.data());
+      for (const auto v : simd::SupportedVariants()) {
+        const auto& ks = simd::KernelsFor(v);
+        std::vector<float> got_batch(n), got_rows(n);
+        ks.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
+                        stride, dim, got_batch.data());
+        ks.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
+                       dim, got_rows.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(got_batch[i], I8Reference(q8.data(), q_scale,
+                                              rows.data() + i * stride,
+                                              scales[i], dim))
+              << simd::VariantName(v) << "/" << ks.i8_kernel
+              << " dot_batch_i8 dim=" << dim << " query kind " << kind
+              << " i=" << i;
+          EXPECT_EQ(got_rows[i], I8Reference(q8.data(), q_scale, ptrs[i],
+                                             rev_scales[i], dim))
+              << simd::VariantName(v) << "/" << ks.i8_kernel
+              << " dot_rows_i8 dim=" << dim << " query kind " << kind
+              << " i=" << i;
+        }
       }
     }
+  }
+}
+
+// Each table names its int8 row-dot, and the avx512 table without AVX-512
+// VNNI carries the AVX2 int8 entries rather than a kernel of its own.
+TEST(SimdKernels, I8KernelNamedPerTable) {
+  EXPECT_STREQ(simd::KernelsFor(simd::Variant::kScalar).i8_kernel, "scalar");
+  if (simd::VariantSupported(simd::Variant::kAvx2)) {
+    EXPECT_STREQ(simd::KernelsFor(simd::Variant::kAvx2).i8_kernel,
+                 "maddubs");
+  }
+  if (simd::VariantSupported(simd::Variant::kAvx512)) {
+    const auto& avx2 = simd::KernelsFor(simd::Variant::kAvx2);
+    const auto& avx512 = simd::KernelsFor(simd::Variant::kAvx512);
+    const std::string name = avx512.i8_kernel;
+    EXPECT_TRUE(name == "vnni" || name == "maddubs") << name;
+    const bool shares_avx2 = avx512.dot_batch_i8 == avx2.dot_batch_i8 &&
+                             avx512.dot_rows_i8 == avx2.dot_rows_i8 &&
+                             avx512.dot_rows_i8_mq == avx2.dot_rows_i8_mq;
+    EXPECT_EQ(shares_avx2, name == "maddubs");
   }
 }
 
@@ -721,42 +771,58 @@ TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
 }
 
 // int8 mq scores must additionally be bit-identical ACROSS variants (the
-// integer dot is exact), mirroring I8KernelsBitIdenticalAcrossVariants.
+// integer dot is exact), mirroring I8KernelsBitIdenticalAcrossVariants:
+// every tail dim, nq 1..16 (the pipeline's batch sizes) and 37 (wider than
+// the kernels' 16-query chunk) at an odd query stride, row counts that
+// leave a short last block, unaligned row pointers and +-127 extremes.
 TEST(SimdKernels, I8MqKernelsBitIdenticalAcrossVariants) {
   Rng rng(59);
-  const std::size_t dim = 192;
-  const std::size_t n = 23;
-  const std::size_t nq = 4;
-  std::vector<float> rows(n * dim), queries(nq * dim);
-  for (auto& x : rows) x = static_cast<float>(rng.Normal());
-  for (auto& x : queries) x = static_cast<float>(rng.Normal());
-
-  std::vector<std::int8_t> rows_i8(n * dim), queries_i8(nq * dim);
-  std::vector<float> row_scales(n), query_scales(nq);
-  for (std::size_t i = 0; i < n; ++i) {
-    row_scales[i] = simd::QuantizeRowI8(
-        std::span<const float>(rows.data() + i * dim, dim),
-        rows_i8.data() + i * dim);
-  }
-  for (std::size_t q = 0; q < nq; ++q) {
-    query_scales[q] = simd::QuantizeRowI8(
-        std::span<const float>(queries.data() + q * dim, dim),
-        queries_i8.data() + q * dim);
-  }
-  std::vector<const std::int8_t*> ptrs(n);
-  for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows_i8.data() + i * dim;
-
-  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
-  std::vector<float> ref(nq * n), got(nq * n);
-  scalar.dot_rows_i8_mq(queries_i8.data(), query_scales.data(), nq, dim,
-                        ptrs.data(), row_scales.data(), n, dim, ref.data());
-  for (const auto variant : simd::SupportedVariants()) {
-    const auto& ks = simd::KernelsFor(variant);
-    ks.dot_rows_i8_mq(queries_i8.data(), query_scales.data(), nq, dim,
-                      ptrs.data(), row_scales.data(), n, dim, got.data());
-    for (std::size_t k = 0; k < ref.size(); ++k) {
-      EXPECT_EQ(got[k], ref[k])
-          << simd::VariantName(variant) << " element " << k;
+  constexpr std::size_t kMaxQueries = 37;
+  for (const std::size_t dim : kI8Dims) {
+    const std::size_t n = 23;
+    const std::size_t qstride = dim + 3;  // odd: unaligned query starts
+    // Rows sit one byte past a 64-byte boundary, queries at qstride.
+    std::vector<std::int8_t> rows(n * dim + 1);
+    std::vector<float> row_scales(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      row_scales[i] = FillI8(i % 4, dim, rng, rows.data() + 1 + i * dim);
+    }
+    std::vector<std::int8_t> queries(kMaxQueries * qstride);
+    std::vector<float> query_scales(kMaxQueries);
+    for (std::size_t q = 0; q < kMaxQueries; ++q) {
+      query_scales[q] =
+          FillI8((q + 1) % 4, dim, rng, queries.data() + q * qstride);
+    }
+    std::vector<const std::int8_t*> ptrs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ptrs[i] = rows.data() + 1 + ((i * 7) % n) * dim;  // scattered order
+    }
+    std::vector<float> scattered_scales(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scattered_scales[i] = row_scales[(i * 7) % n];
+    }
+    for (const std::size_t rows_used : {std::size_t{1}, std::size_t{3},
+                                        std::size_t{6}, n}) {
+      for (std::size_t nq = 1; nq <= kMaxQueries; nq += nq < 16 ? 1 : 21) {
+        for (const auto variant : simd::SupportedVariants()) {
+          const auto& ks = simd::KernelsFor(variant);
+          std::vector<float> got(nq * rows_used);
+          ks.dot_rows_i8_mq(queries.data(), query_scales.data(), nq, qstride,
+                            ptrs.data(), scattered_scales.data(), rows_used,
+                            dim, got.data());
+          for (std::size_t q = 0; q < nq; ++q) {
+            for (std::size_t i = 0; i < rows_used; ++i) {
+              ASSERT_EQ(got[q * rows_used + i],
+                        I8Reference(queries.data() + q * qstride,
+                                    query_scales[q], ptrs[i],
+                                    scattered_scales[i], dim))
+                  << simd::VariantName(variant) << "/" << ks.i8_kernel
+                  << " dim " << dim << " n " << rows_used << " nq " << nq
+                  << " query " << q << " row " << i;
+            }
+          }
+        }
+      }
     }
   }
 }

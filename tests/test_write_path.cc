@@ -221,6 +221,49 @@ TEST_F(WritePathTest, WritePathStateIsInStats) {
   EXPECT_GT(CounterValue(engine, "cortex_engine_snapshot_publishes"), 0u);
 }
 
+// cortex_engine_scan_rows counts snapshot rows streamed by stage-1 scans:
+// every probed shard group (a Peek, or one shard's share of a LookupBatch)
+// adds its snapshot's size once.
+TEST_F(WritePathTest, ScanRowsCountProbedSnapshotSizes) {
+  ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
+                                 BaseOptions(nullptr));
+  for (std::size_t t = 0; t < 24; ++t) {
+    ASSERT_TRUE(engine.Insert(RequestFor(t)).has_value());
+  }
+  const auto rows_of = [&](std::string_view q) {
+    return static_cast<std::uint64_t>(
+        engine.PublishedIds(engine.ShardFor(q)).size());
+  };
+
+  std::uint64_t expected = 0;
+  for (std::size_t t = 0; t < 8; ++t) {
+    const std::string& q = world_.query(t, 1);
+    expected += rows_of(q);
+    engine.Peek(q);
+  }
+  ASSERT_GT(expected, 0u);
+  EXPECT_EQ(CounterValue(engine, "cortex_engine_scan_rows"), expected);
+
+  // One batch: each distinct shard among its queries is scanned once.
+  std::vector<serve::BatchLookupRequest> batch;
+  std::vector<bool> probed(engine.num_shards(), false);
+  for (std::size_t t = 0; t < 24; t += 2) {
+    const std::string& q = world_.query(t, 2);
+    const std::size_t shard = engine.ShardFor(q);
+    if (!probed[shard]) expected += rows_of(q);
+    probed[shard] = true;
+    batch.emplace_back().query = q;
+  }
+  engine.LookupBatch(batch);
+  EXPECT_EQ(CounterValue(engine, "cortex_engine_scan_rows"), expected);
+
+  std::vector<std::pair<std::string, std::string>> stats;
+  engine.registry()->Snapshot().AppendKeyValues(&stats);
+  EXPECT_TRUE(std::any_of(stats.begin(), stats.end(), [](const auto& kv) {
+    return kv.first == "cortex_engine_scan_rows";
+  }));
+}
+
 // Wraps an oracle and parks every judger call for `park_on` until
 // released, so a Lookup for that query stays inside its EpochReadGuard.
 struct ParkingOracle : EquivalenceOracle {

@@ -165,7 +165,8 @@ int main(int argc, char** argv) {
             << ", workers=" << sopts.num_workers << ", capacity="
             << static_cast<long long>(eopts.cache.capacity_tokens)
             << " tokens, simd="
-            << simd::VariantName(simd::ActiveVariant()) << ")\n"
+            << simd::VariantName(simd::ActiveVariant())
+            << " i8=" << simd::ActiveKernels().i8_kernel << ")\n"
             << "Ctrl-C to stop.\n"
             << std::flush;
 
