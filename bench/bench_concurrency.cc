@@ -15,10 +15,12 @@
 //     so the curve shows how the probe alone scales.
 //   * --writer-curve — the DESIGN.md §13.3 write path against resident
 //     size: one shard on the epoch path is RESTOREd to 1k / 4k / 16k
-//     rows, then timed single-SE inserts each publish a snapshot.
-//     Reports insert latency per size (wall clock), plus rows copied per
-//     single-SE publish and snapshot publishes per RESTORE (deterministic
-//     work counts).
+//     rows, then timed single-SE inserts each publish a snapshot.  Two
+//     legs: below capacity (no eviction), and at capacity, where every
+//     wire-shaped insert (zero cost and latency) evicts (DESIGN.md
+//     §12.2).  Reports insert latency per size (wall clock), plus rows
+//     copied per single-SE publish, snapshot publishes per RESTORE and
+//     evictions per insert (deterministic work counts).
 //   * --pipeline — the DESIGN.md §14 batching pipeline vs unbatched
 //     lookups: N concurrent clients drive the same pre-populated engine
 //     either directly (each lookup embeds + scans alone) or through
@@ -43,9 +45,11 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "llm/tags.h"
 #include "serve/batch_pipeline.h"
 #include "serve/concurrent_engine.h"
 #include "util/flags.h"
@@ -480,18 +484,26 @@ struct WriterPoint {
   double insert_mean_us = 0.0;
   std::uint64_t rows_copied_per_publish = 0;
   std::uint64_t publishes_per_restore = 0;
+  double evictions_per_insert = 0.0;
 };
 
+// `at_capacity` sizes the shard to exactly the restored SEs, so every
+// timed insert has to evict.
 WriterPoint RunWriterPoint(const HashedEmbedder& embedder,
                            const JudgerModel& judger, std::size_t resident,
-                           std::size_t inserts) {
+                           std::size_t inserts, bool at_capacity) {
   // Synthetic resident SEs: distinct keys/values (no dedup, no replace)
   // with seeded random unit embeddings, so seeding skips the embedder.
+  // Like a RESTORE-seeded servebench SE, each carries a retrieval cost,
+  // latency and use count, so its LCFU score is positive.
   Rng rng(0x57a7e + resident);
   const auto make = [&](std::size_t i) {
     SemanticElement se;
     se.key = "writer curve key " + std::to_string(i);
     se.value = "writer curve value " + std::to_string(i);
+    se.frequency = 1 + rng.NextBelow(8);
+    se.retrieval_cost_dollars = rng.Uniform(0.001, 0.01);
+    se.retrieval_latency_sec = rng.Uniform(0.1, 1.0);
     se.embedding.resize(embedder.dimension());
     for (float& x : se.embedding) {
       x = static_cast<float>(rng.Uniform(-1.0, 1.0));
@@ -500,9 +512,18 @@ WriterPoint RunWriterPoint(const HashedEmbedder& embedder,
     return se;
   };
 
+  std::vector<SemanticElement> seed;
+  seed.reserve(resident);
+  double seed_tokens = 0.0;
+  for (std::size_t i = 0; i < resident; ++i) {
+    seed.push_back(make(i));
+    seed_tokens += static_cast<double>(ApproxTokenCount(seed.back().value));
+  }
+
   serve::ConcurrentEngineOptions opts;
   opts.num_shards = 1;
-  opts.cache.capacity_tokens = 1e12;  // no eviction: measure publish only
+  // Below capacity nothing is evicted: the insert times the publish only.
+  opts.cache.capacity_tokens = at_capacity ? seed_tokens : 1e12;
   opts.housekeeping_interval_sec = 0.0;
   serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
   telemetry::Counter* publishes =
@@ -513,9 +534,6 @@ WriterPoint RunWriterPoint(const HashedEmbedder& embedder,
   WriterPoint point;
   point.resident = resident;
   {
-    std::vector<SemanticElement> seed;
-    seed.reserve(resident);
-    for (std::size_t i = 0; i < resident; ++i) seed.push_back(make(i));
     std::stringstream blob;
     serve::WriteEngineSnapshot(blob, seed);
     const std::uint64_t p0 = publishes->Value();
@@ -527,6 +545,7 @@ WriterPoint RunWriterPoint(const HashedEmbedder& embedder,
     point.publishes_per_restore = publishes->Value() - p0;
   }
 
+  const std::uint64_t evictions0 = engine.TotalCounters().evictions;
   std::vector<double> us;
   us.reserve(inserts);
   for (std::size_t k = 0; k < inserts; ++k) {
@@ -544,6 +563,9 @@ WriterPoint RunWriterPoint(const HashedEmbedder& embedder,
                      .count());
     if (k == 0) point.rows_copied_per_publish = rows_copied->Value() - c0;
   }
+  point.evictions_per_insert =
+      static_cast<double>(engine.TotalCounters().evictions - evictions0) /
+      static_cast<double>(inserts);
   double sum = 0.0;
   for (const double x : us) sum += x;
   point.insert_mean_us = sum / static_cast<double>(us.size());
@@ -566,56 +588,80 @@ int WriterCurveMain(const Flags& flags) {
   JudgerModel judger(bundle.oracle.get());
 
   std::cout << "=== writer curve (one shard, epoch path, " << inserts
-            << " timed single-SE inserts per point) ===\n\n";
-  TextTable table({"resident rows", "restore (s)", "publishes/restore",
-                   "insert p50 (us)", "insert mean (us)",
-                   "rows copied/publish"});
-  std::vector<WriterPoint> points;
-  for (const std::size_t resident :
-       {std::size_t{1000}, std::size_t{4000}, std::size_t{16000}}) {
-    const WriterPoint p = RunWriterPoint(embedder, judger, resident, inserts);
-    points.push_back(p);
-    table.AddRow({std::to_string(p.resident),
-                  TextTable::Num(p.restore_seconds, 4),
-                  std::to_string(p.publishes_per_restore),
-                  TextTable::Num(p.insert_p50_us, 1),
-                  TextTable::Num(p.insert_mean_us, 1),
-                  std::to_string(p.rows_copied_per_publish)});
-  }
-  table.Print(std::cout, csv);
-  const double ratio = points.front().insert_p50_us > 0.0
-                           ? points.back().insert_p50_us /
-                                 points.front().insert_p50_us
-                           : 0.0;
-  std::cout << "\ninsert p50 at 16k rows / at 1k rows: "
-            << TextTable::Num(ratio, 2) << "x\n";
+            << " timed single-SE inserts per point) ===\n";
+  // One leg per capacity regime; each returns its points and its 16k/1k
+  // insert p50 ratio.
+  const auto run_leg = [&](bool at_capacity) {
+    std::cout << "\n--- " << (at_capacity ? "at capacity (every insert evicts)"
+                                           : "below capacity (no eviction)")
+              << " ---\n";
+    TextTable table({"resident rows", "restore (s)", "publishes/restore",
+                     "insert p50 (us)", "insert mean (us)",
+                     "rows copied/publish", "evictions/insert"});
+    std::vector<WriterPoint> points;
+    for (const std::size_t resident :
+         {std::size_t{1000}, std::size_t{4000}, std::size_t{16000}}) {
+      const WriterPoint p =
+          RunWriterPoint(embedder, judger, resident, inserts, at_capacity);
+      points.push_back(p);
+      table.AddRow({std::to_string(p.resident),
+                    TextTable::Num(p.restore_seconds, 4),
+                    std::to_string(p.publishes_per_restore),
+                    TextTable::Num(p.insert_p50_us, 1),
+                    TextTable::Num(p.insert_mean_us, 1),
+                    std::to_string(p.rows_copied_per_publish),
+                    TextTable::Num(p.evictions_per_insert, 3)});
+    }
+    table.Print(std::cout, csv);
+    const double ratio = points.front().insert_p50_us > 0.0
+                             ? points.back().insert_p50_us /
+                                   points.front().insert_p50_us
+                             : 0.0;
+    std::cout << "\ninsert p50 at 16k rows / at 1k rows: "
+              << TextTable::Num(ratio, 2) << "x\n";
+    return std::make_pair(points, ratio);
+  };
+  const auto [below, below_ratio] = run_leg(false);
+  const auto [full, full_ratio] = run_leg(true);
+
   if (flags.GetBool("json", false)) {
     std::ofstream out("BENCH_writer.json");
-    // Work counts are exact replays of the publish algorithm; declaring
-    // them keeps bench_diff on the tight band whatever their names.
+    const auto write_points = [&out](const std::vector<WriterPoint>& points) {
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const WriterPoint& p = points[i];
+        out << "    {\"resident_rows\": " << p.resident
+            << ", \"restore_seconds\": " << p.restore_seconds
+            << ", \"insert_p50_latency_us\": " << p.insert_p50_us
+            << ", \"insert_mean_latency_us\": " << p.insert_mean_us
+            << ", \"rows_copied_per_publish\": " << p.rows_copied_per_publish
+            << ", \"publishes_per_restore\": " << p.publishes_per_restore
+            << ", \"evictions_per_insert\": " << p.evictions_per_insert
+            << "}" << (i + 1 < points.size() ? "," : "") << "\n";
+      }
+    };
+    // Work counts are exact replays of the publish and eviction
+    // algorithms; declaring them keeps bench_diff on the tight band
+    // whatever their names.
     out << "{\n  \"benchmark\": \"concurrency_writer_curve\",\n"
            "  \"deterministic_keys\": [\"resident_rows\","
-           " \"rows_copied_per_publish\", \"publishes_per_restore\"],\n"
+           " \"rows_copied_per_publish\", \"publishes_per_restore\","
+           " \"evictions_per_insert\"],\n"
            "  \"shards\": 1,\n  \"inserts\": "
         << inserts << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const WriterPoint& p = points[i];
-      out << "    {\"resident_rows\": " << p.resident
-          << ", \"restore_seconds\": " << p.restore_seconds
-          << ", \"insert_p50_latency_us\": " << p.insert_p50_us
-          << ", \"insert_mean_latency_us\": " << p.insert_mean_us
-          << ", \"rows_copied_per_publish\": " << p.rows_copied_per_publish
-          << ", \"publishes_per_restore\": " << p.publishes_per_restore
-          << "}" << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"insert_latency_ratio_16k_vs_1k\": " << ratio
-        << "\n}\n";
+    write_points(below);
+    out << "  ],\n  \"insert_latency_ratio_16k_vs_1k\": " << below_ratio
+        << ",\n  \"at_capacity\": [\n";
+    write_points(full);
+    out << "  ],\n  \"at_capacity_insert_latency_ratio_16k_vs_1k\": "
+        << full_ratio << "\n}\n";
     std::cout << "wrote BENCH_writer.json\n";
   }
   std::cout << "\nexpected shape: insert latency nearly flat in resident"
                " size — a single-SE publish copies the previous arrays once"
-               " (rows copied = resident rows) and patches one slot; a"
-               " RESTORE publishes once per shard.\n";
+               " (rows copied = resident rows) and patches one slot, and a"
+               " RESTORE publishes once per shard.  At capacity each victim"
+               " comes off a lazy (score, id) heap in O(log n), so that leg"
+               " tracks the one below capacity.\n";
   return 0;
 }
 

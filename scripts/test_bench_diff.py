@@ -109,7 +109,8 @@ class DeclaredBandTest(unittest.TestCase):
             "BENCH_vector_ops.json": {"bytes_per_vector"},
             "BENCH_writer.json": {"resident_rows",
                                   "rows_copied_per_publish",
-                                  "publishes_per_restore"},
+                                  "publishes_per_restore",
+                                  "evictions_per_insert"},
         }
         for name, keys in expected.items():
             doc = json.loads((root / name).read_text())

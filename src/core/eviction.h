@@ -18,6 +18,14 @@ class EvictionPolicy {
 
   // Priority of retaining `se` at time `now`; the lowest-scoring item is
   // evicted first.  Zero means "evict immediately" (expired/empty).
+  //
+  // Contract: while `se` is resident and unexpired, its score never
+  // falls.  A policy may read only fields that never decrease (frequency,
+  // last_access) or never change while resident (size, cost, latency,
+  // staticity), plus the expiry test; SemanticCache purges expired SEs
+  // before every eviction.  The cache's lazy victim heaps keep the score
+  // each SE had when pushed and rely on it never exceeding the current
+  // one (DESIGN.md §12.2).
   virtual double Score(const SemanticElement& se, double now) const = 0;
 
   virtual std::string name() const = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -80,7 +82,9 @@ void SemanticCache::CommitLookup(const LookupResult& result, double now) {
   const auto it = store_.find(result.hit->id);
   if (it == store_.end()) return;  // evicted between probe and commit
   ++it->second.frequency;
-  it->second.last_access = now;
+  // Batches commit with their own clock reads, possibly out of order;
+  // max keeps last_access (and so the LRU score) from ever falling.
+  it->second.last_access = std::max(it->second.last_access, now);
 }
 
 std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
@@ -180,11 +184,12 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
         RemoveInternal(shared_it->second, /*expired=*/false);
       }
       key_to_id_[NamespacedKey("", se.key)] = se.id;
+      PushVictim(se, now);
       ++counters_.promotions;
     }
     se.shareable = se.shareable && request.shareable;
     se.frequency += request.initial_frequency;
-    se.last_access = now;
+    se.last_access = std::max(se.last_access, now);
     // The content was just re-retrieved fresh, so renew its lifetime.
     if (options_.ttl_enabled) {
       se.expiration_time = now + options_.min_ttl_sec +
@@ -248,7 +253,7 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
   key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
   value_hash_to_id_.emplace(value_hash, se.id);
   const SeId id = se.id;
-  store_.emplace(id, std::move(se));
+  PushVictim(store_.emplace(id, std::move(se)).first->second, now);
   ++counters_.insertions;
   Journal(id);
   return id;
@@ -302,7 +307,7 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
   key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
   value_hash_to_id_.emplace(value_hash, se.id);
   const SeId id = se.id;
-  store_.emplace(id, std::move(se));
+  PushVictim(store_.emplace(id, std::move(se)).first->second, now);
   ++counters_.insertions;
   Journal(id);
   return id;
@@ -343,73 +348,123 @@ std::size_t SemanticCache::RemoveExpired(double now) {
 }
 
 void SemanticCache::EvictDownTo(double target_tokens, double now,
-                                std::string_view offender) {
+                                const std::string& offender) {
   target_tokens = std::max(target_tokens, 0.0);
   // Victim tiers, best first: the offending tenant's own entries, then
   // any tenant holding more than its recorded budget, then the shared
   // pool, and only as a last resort a within-budget bystander tenant
-  // (reachable only when budgets oversubscribe the capacity).  Within a
-  // tier the eviction policy's lowest score loses, exactly as before.
-  const auto tier_of = [this, offender](const SemanticElement& se) -> int {
-    if (!offender.empty() && se.tenant == offender) return 0;
-    if (se.tenant.empty()) return 2;
-    if (const auto budget = tenant_budget_.find(se.tenant);
-        budget != tenant_budget_.end() && budget->second > 0.0) {
-      const auto usage = tenant_usage_.find(se.tenant);
-      if (usage != tenant_usage_.end() &&
-          usage->second.tokens > budget->second) {
-        return 1;
-      }
-    }
-    return 3;
-  };
+  // (reachable only when budgets oversubscribe the capacity).  Each tier
+  // is the lowest head among its namespaces' heaps.
   while (usage_tokens_ > target_tokens && !store_.empty()) {
-    SeId victim = 0;
-    int victim_tier = 4;
-    double victim_score = std::numeric_limits<double>::infinity();
-    for (const auto& [id, se] : store_) {
-      const int tier = tier_of(se);
-      if (tier > victim_tier) continue;
-      const double score = eviction_->Score(se, now);
-      if (tier < victim_tier || score < victim_score) {
-        victim_tier = tier;
-        victim_score = score;
-        victim = id;
+    VictimHeap* victim = nullptr;
+    const auto consider = [&](const std::string& tenant) {
+      VictimHeap* heap = HeapFor(tenant);
+      if (heap != nullptr && ValidHead(tenant, *heap, now) &&
+          (victim == nullptr || heap->front() < victim->front())) {
+        victim = heap;
+      }
+    };
+    if (!offender.empty()) consider(offender);
+    if (victim == nullptr) {
+      for (const auto& [tenant, budget] : tenant_budget_) {
+        const auto usage = tenant_usage_.find(tenant);
+        if (tenant != offender && budget > 0.0 &&
+            usage != tenant_usage_.end() && usage->second.tokens > budget) {
+          consider(tenant);
+        }
       }
     }
-    const auto victim_it = store_.find(victim);
-    CHECK(victim_it != store_.end());
-    ++tenant_usage_[victim_it->second.tenant].evictions;
-    RemoveInternal(victim, /*expired=*/false);
-    ++counters_.evictions;
+    if (victim == nullptr) consider("");
+    if (victim == nullptr) {
+      // Every earlier tier is empty, so the remaining heads are exactly
+      // the bystanders'.
+      for (const auto& [tenant, heap] : victim_heaps_) consider(tenant);
+    }
+    CHECK(victim != nullptr) << "resident SEs missing from the victim heaps";
+    EvictHead(*victim);
   }
 }
 
 void SemanticCache::EvictTenantDownTo(const std::string& tenant,
                                       double budget_tokens, double now) {
   budget_tokens = std::max(budget_tokens, 0.0);
-  while (!store_.empty()) {
+  VictimHeap* heap = HeapFor(tenant);
+  while (heap != nullptr) {
     const auto usage = tenant_usage_.find(tenant);
-    if (usage == tenant_usage_.end() || usage->second.tokens <= budget_tokens) {
+    if (usage == tenant_usage_.end() || usage->second.tokens <= budget_tokens ||
+        !ValidHead(tenant, *heap, now)) {
       return;
     }
-    SeId victim = 0;
-    double victim_score = std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (const auto& [id, se] : store_) {
-      if (se.tenant != tenant) continue;
-      const double score = eviction_->Score(se, now);
-      if (!found || score < victim_score) {
-        found = true;
-        victim_score = score;
-        victim = id;
-      }
-    }
-    if (!found) return;
-    ++usage->second.evictions;
-    RemoveInternal(victim, /*expired=*/false);
-    ++counters_.evictions;
+    EvictHead(*heap);
   }
+}
+
+void SemanticCache::EvictHead(VictimHeap& heap) {
+  const SeId victim = heap.front().id;
+  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+  heap.pop_back();
+  --victim_entries_;
+  const auto it = store_.find(victim);
+  CHECK(it != store_.end());
+  ++tenant_usage_[it->second.tenant].evictions;
+  RemoveInternal(victim, /*expired=*/false);
+  ++counters_.evictions;
+}
+
+bool SemanticCache::ValidHead(const std::string& tenant, VictimHeap& heap,
+                              double now) {
+  while (!heap.empty()) {
+    const auto it = store_.find(heap.front().id);
+    if (it == store_.end() || it->second.tenant != tenant) {
+      // Gone (evicted, expired, replaced, removed) or retagged by a
+      // promotion.
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      heap.pop_back();
+      --victim_entries_;
+      continue;
+    }
+    const double score = VictimScore(it->second, now);
+    DCHECK_GE(score, heap.front().score)
+        << "eviction score of SE " << it->first << " fell while resident";
+    if (score <= heap.front().score) return true;
+    // Keyed below its risen score: re-key it and look again.
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    heap.back().score = score;
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+  }
+  return false;
+}
+
+SemanticCache::VictimHeap* SemanticCache::HeapFor(const std::string& tenant) {
+  const auto it = victim_heaps_.find(tenant);
+  return it == victim_heaps_.end() ? nullptr : &it->second;
+}
+
+double SemanticCache::VictimScore(const SemanticElement& se,
+                                  double now) const {
+  // A NaN (only a corrupt snapshot's metadata yields one) would break the
+  // heap's total order; it ranks as 0.
+  const double score = eviction_->Score(se, now);
+  return std::isnan(score) ? 0.0 : score;
+}
+
+void SemanticCache::PushVictim(const SemanticElement& se, double now) {
+  if (++victim_entries_ <= 2 * store_.size() + 64) {
+    VictimHeap& heap = victim_heaps_[se.tenant];
+    heap.push_back({VictimScore(se, now), se.id});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    return;
+  }
+  // Too many stale entries: rebuild every heap from the store, which
+  // also drops the heaps of namespaces with nothing resident.
+  victim_heaps_.clear();
+  for (const auto& [id, resident] : store_) {
+    victim_heaps_[resident.tenant].push_back({VictimScore(resident, now), id});
+  }
+  for (auto& [tenant, heap] : victim_heaps_) {
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  }
+  victim_entries_ = store_.size();
 }
 
 SemanticCache::TenantUsage SemanticCache::TenantUsageFor(

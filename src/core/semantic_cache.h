@@ -10,6 +10,7 @@
 //     are periodically refreshed (§4.3's aging mechanism).
 #pragma once
 
+#include <compare>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -189,6 +190,11 @@ class SemanticCache {
     return tenant_usage_;
   }
 
+  // Entries across all victim heaps, stale ones included.  At most
+  // 2 x size() + 64 after every insert: a push past that rebuilds every
+  // heap from the store.
+  std::size_t victim_heap_entries() const noexcept { return victim_entries_; }
+
   std::size_t size() const noexcept { return store_.size(); }
   double usage_tokens() const noexcept { return usage_tokens_; }
   double capacity_tokens() const noexcept { return options_.capacity_tokens; }
@@ -219,17 +225,39 @@ class SemanticCache {
   }
 
  private:
+  // One lazy victim-heap entry: the SE's score when pushed, which never
+  // exceeds its current score (EvictionPolicy's contract).  Ordered by
+  // (score, id), so equal scores evict the oldest SE first.
+  struct VictimEntry {
+    double score = 0.0;
+    SeId id = 0;
+    auto operator<=>(const VictimEntry&) const = default;
+  };
+  using VictimHeap = std::vector<VictimEntry>;
+
   // Tenant-aware eviction: victims come from the offending tenant's own
   // namespace first, then from tenants over their recorded budget, then
   // the shared pool, and only as a last resort from within-budget
   // bystanders (keeps the capacity invariant when budgets oversubscribe
-  // the shard).
+  // the shard).  Within a tier the lowest (score, id) loses.  Callers
+  // purge expired SEs at `now` first.
   void EvictDownTo(double target_tokens, double now,
-                   std::string_view offender);
+                   const std::string& offender);
   // Evicts within one tenant's namespace until its usage fits
   // `budget_tokens`; charged to that tenant's eviction count.
   void EvictTenantDownTo(const std::string& tenant, double budget_tokens,
                          double now);
+  // Evicts `heap`'s head (ValidHead must have returned true for it).
+  void EvictHead(VictimHeap& heap);
+  // Pops `heap`'s entries for SEs gone from `tenant`'s namespace and
+  // re-keys a head whose score has risen, until the head is a resident
+  // SE keyed at its current score.  False when the heap runs empty.
+  bool ValidHead(const std::string& tenant, VictimHeap& heap, double now);
+  VictimHeap* HeapFor(const std::string& tenant);
+  double VictimScore(const SemanticElement& se, double now) const;
+  // Pushes `se` (already in store_) onto its namespace's heap; past the
+  // stale-entry bound, rebuilds every heap from the store instead.
+  void PushVictim(const SemanticElement& se, double now);
   void RemoveInternal(SeId id, bool expired);
   void Journal(SeId id) {
     if (journal_enabled_) journal_.push_back(id);
@@ -262,6 +290,10 @@ class SemanticCache {
   // Promotion evidence: value hash -> distinct shareable-inserting
   // tenants seen so far (bounded by promote_tracker_capacity).
   std::unordered_map<std::size_t, std::vector<std::string>> promote_seen_;
+  // Lazy min-heaps of eviction candidates, one per namespace (the shared
+  // pool under ""), and their total entry count.
+  std::unordered_map<std::string, VictimHeap> victim_heaps_;
+  std::size_t victim_entries_ = 0;
   // Lower bound on every resident expiration_time: lowered whenever an
   // SE's expiration is set, recomputed exactly by each RemoveExpired scan.
   double min_expiration_ = std::numeric_limits<double>::infinity();

@@ -411,6 +411,9 @@ void ConcurrentShardedEngine::LookupBatch(
   // be evicted before the commit below — CommitLookup tolerates that,
   // and the hit already copied still serves the client.
   std::vector<SemanticCache::LookupResult> results(nq);
+  // Recalibration samples, one per judged candidate, copied from the
+  // snapshot records here so the commit's writer section only moves them.
+  std::vector<std::vector<JudgedSample>> samples(nq);
   std::vector<double> ann_share(nq, 0.0);
   thread_local std::vector<float> group_storage;
   thread_local std::vector<float> sims;
@@ -446,6 +449,16 @@ void ConcurrentShardedEngine::LookupBatch(
           SnapshotJudge(scratch, snap.sine, r.query, now, r.tenant, judger_);
       r.judger_seconds = telemetry::WallSeconds() - judge_t0;
       r.judger_calls = results[i].sine.judger_calls;
+      // Stage 2 judges scratch.visible in order, so judged[k] is
+      // visible[k] (whose views borrow the records guarded above).
+      const auto& judged = results[i].sine.judged;
+      samples[i].reserve(judged.size());
+      for (std::size_t k = 0; k < judged.size(); ++k) {
+        const JudgeCandidate& c = scratch.visible[k];
+        DCHECK_EQ(c.id, judged[k].id);
+        samples[i].push_back({std::string(r.query), std::string(c.key),
+                              std::string(c.value), judged[k].judger_score});
+      }
     }
   }
 
@@ -461,13 +474,13 @@ void ConcurrentShardedEngine::LookupBatch(
       WriterLock lock(shard.mu);
       for (const std::uint32_t i : group) {
         shard.cache->CommitLookup(results[i], now);
-        // Log every judged candidate so recalibration sees scores on both
-        // sides of the threshold (same policy as CortexEngine::Lookup).
-        for (const auto& judged : results[i].sine.judged) {
-          if (const SemanticElement* se = shard.cache->Get(judged.id)) {
-            shard.recalibrator.LogJudgment({std::string(batch[i].query),
-                                            se->key, se->value,
-                                            judged.judger_score});
+        // Log every judged candidate still resident, so recalibration
+        // sees scores on both sides of the threshold (same policy as
+        // CortexEngine::Lookup).
+        const auto& judged = results[i].sine.judged;
+        for (std::size_t k = 0; k < judged.size(); ++k) {
+          if (shard.cache->Get(judged[k].id) != nullptr) {
+            shard.recalibrator.LogJudgment(std::move(samples[i][k]));
           }
         }
       }

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -111,11 +112,32 @@ class ClusterTest : public ::testing::Test {
     return router;
   }
 
+  // Every test call has a deadline, so a lost response fails the test
+  // with a "timed out" error instead of hanging it.  MIGRATE streams and
+  // restores every source's share before it answers, so it gets longer.
+  static constexpr double kCallTimeoutSec = 30.0;
+  static constexpr double kMigrateTimeoutSec = 120.0;
+
   bool Connect(BlockingClient& client) {
     std::string error;
+    client.SetCallTimeout(kCallTimeoutSec);
     const bool ok = client.ConnectUnix(router_socket_, &error);
     if (!ok) ADD_FAILURE() << "router connect failed: " << error;
     return ok;
+  }
+
+  std::optional<Response> Migrate(BlockingClient& client,
+                                  const std::string& node_name,
+                                  const std::string& endpoint,
+                                  std::string* error) {
+    Request migrate;
+    migrate.type = RequestType::kMigrate;
+    migrate.node_name = node_name;
+    migrate.endpoint = endpoint;
+    client.SetCallTimeout(kMigrateTimeoutSec);
+    auto response = client.Call(migrate, error);
+    client.SetCallTimeout(kCallTimeoutSec);
+    return response;
   }
 
   Request LookupFor(std::size_t topic, std::size_t paraphrase = 0) {
@@ -310,6 +332,7 @@ TEST_F(ClusterTest, LiveMigrationMovesStateWithoutDroppingRequests) {
   for (int t = 0; t < 3; ++t) {
     traffic.emplace_back([&] {
       BlockingClient c;
+      c.SetCallTimeout(kCallTimeoutSec);
       std::string err;
       if (!c.ConnectUnix(router_socket_, &err)) {
         ++traffic_wrong;
@@ -332,12 +355,9 @@ TEST_F(ClusterTest, LiveMigrationMovesStateWithoutDroppingRequests) {
   // node3 joins live.
   Node* joiner = StartNode("node3");
   ASSERT_NE(joiner, nullptr);
-  Request migrate;
-  migrate.type = RequestType::kMigrate;
-  migrate.node_name = "node3";
-  migrate.endpoint = "unix:" + joiner->socket;
   std::string error;
-  const auto response = client.Call(migrate, &error);
+  const auto response =
+      Migrate(client, "node3", "unix:" + joiner->socket, &error);
   ASSERT_TRUE(response.has_value()) << error;
   ASSERT_EQ(response->type, ResponseType::kOk) << response->message;
   const std::uint64_t moved = response->id;
@@ -382,12 +402,9 @@ TEST_F(ClusterTest, MigrationToUnreachableNodeAbortsCleanly) {
   WarmThroughRouter(client, 8);
   const auto v_before = router->ring_version();
 
-  Request migrate;
-  migrate.type = RequestType::kMigrate;
-  migrate.node_name = "ghost";
-  migrate.endpoint = "unix:" + SocketPath("never-started");
   std::string error;
-  const auto response = client.Call(migrate, &error);
+  const auto response =
+      Migrate(client, "ghost", "unix:" + SocketPath("never-started"), &error);
   ASSERT_TRUE(response.has_value()) << error;
   EXPECT_EQ(response->type, ResponseType::kError);
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@ namespace cortex {
 namespace {
 
 using cortex::testing::MiniWorld;
+using serve::BatchLookupRequest;
 using serve::ConcurrentEngineOptions;
 using serve::ConcurrentShardedEngine;
 
@@ -208,6 +210,40 @@ TEST_F(ConcurrentEngineTest, RecalibrationTickRunsOnEveryShard) {
     EXPECT_GE(tau, opts.recalibration.min_tau);
     EXPECT_LE(tau, opts.recalibration.max_tau);
   }
+}
+
+TEST_F(ConcurrentEngineTest, JudgmentLogHoldsEveryJudgedCandidate) {
+  ConcurrentEngineOptions opts = BaseOptions();
+  opts.recalibration.samples_per_round = 1000000;  // annotate the whole log
+  ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
+                                 opts);
+  std::multiset<std::string> fetched;
+  engine.SetGroundTruthFetcher([&](std::string_view query) {
+    fetched.emplace(query);
+    return world_.oracle->ExpectedInfo(query);
+  });
+  const std::size_t topics = world_.universe->size();
+  for (std::size_t topic = 0; topic < topics; ++topic) {
+    ASSERT_TRUE(engine.Insert(RequestFor(topic)).has_value());
+  }
+  // Nothing is evicted, so every judged candidate is logged once, with
+  // the query that judged it.
+  std::multiset<std::string> judged;
+  for (std::size_t round = 1; round < 4; ++round) {
+    std::vector<BatchLookupRequest> batch(topics);
+    for (std::size_t topic = 0; topic < topics; ++topic) {
+      batch[topic].query = world_.query(topic, round);
+    }
+    engine.LookupBatch(batch);
+    for (const BatchLookupRequest& r : batch) {
+      for (std::size_t k = 0; k < r.judger_calls; ++k) {
+        judged.emplace(r.query);
+      }
+    }
+  }
+  ASSERT_GT(judged.size(), topics);
+  engine.RecalibrateAllShards();
+  EXPECT_EQ(fetched, judged);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@
 
 #include "ann/flat_index.h"
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
+#include "core/engine.h"
 #include "llm/tags.h"
 #include "test_helpers.h"
 
@@ -416,6 +420,329 @@ TEST_F(SemanticCacheTest, EvictionAlwaysRemovesTheLowestScoredEntry) {
   }
   EXPECT_GT(cache_->counters().evictions, 10u);
 }
+
+TEST_F(SemanticCacheTest, LastAccessNeverMovesBackwards) {
+  const SeId id = *cache_->Insert(RequestFor(0), 0.0);
+  SemanticCache::LookupResult hit;
+  hit.hit = CacheHit{id, world_.answer(0), world_.query(0), 1.0, 1.0};
+  cache_->CommitLookup(hit, 10.0);
+  cache_->CommitLookup(hit, 5.0);  // an older batch commits late
+  EXPECT_DOUBLE_EQ(cache_->Get(id)->last_access, 10.0);
+  EXPECT_EQ(cache_->Get(id)->frequency, 3u);
+  // A dedup refresh stamped with an older clock keeps it too.
+  ASSERT_EQ(cache_->Insert(RequestFor(0, 1), 7.0), id);
+  EXPECT_DOUBLE_EQ(cache_->Get(id)->last_access, 10.0);
+}
+
+// ---------------------------------------------------------------------------
+// Victim order.  Equal scores lose oldest first, and the lazy victim heaps
+// pick exactly the victims of an O(n) scan over the store.
+
+TEST_F(SemanticCacheTest, EqualScoresEvictInAscendingIdOrder) {
+  SemanticCacheOptions opts;
+  opts.capacity_tokens = 400.0;
+  Rebuild(opts);
+  cache_->EnableJournal();
+  std::vector<SeId> journal;
+  std::vector<SeId> evicted;
+  std::set<SeId> resident;
+  for (std::size_t topic = 0; topic < world_.universe->size(); ++topic) {
+    InsertRequest req = RequestFor(topic);
+    req.retrieval_cost_dollars = 0.0;  // LCFU score 0, like a wire INSERT
+    req.retrieval_latency_sec = 0.0;
+    const SeId id = *cache_->Insert(std::move(req), 1.0);
+    cache_->DrainJournal(journal);
+    for (const SeId j : journal) {
+      if (resident.erase(j) > 0) evicted.push_back(j);
+    }
+    resident.insert(id);
+  }
+  ASSERT_GT(evicted.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(evicted.begin(), evicted.end()));
+  // Everything evicted is older than everything still resident.
+  EXPECT_LT(evicted.back(), *resident.begin());
+}
+
+TEST_F(SemanticCacheTest, StaleHeapEntriesStayBounded) {
+  SemanticCacheOptions opts;
+  opts.capacity_tokens = 3000.0;
+  Rebuild(opts);
+  Rng rng(17);
+  std::size_t max_entries = 0;
+  for (int i = 0; i < 10000; ++i) {
+    // Few keys, fresh values: nearly every insert replaces a resident SE
+    // and leaves its heap entry stale.
+    const std::size_t topic = rng.NextBelow(world_.universe->size());
+    if (i % 7 == 0 && cache_->size() > 0) {
+      cache_->Remove(cache_->entries().begin()->first);
+    }
+    InsertRequest req = RequestFor(topic, rng.NextBelow(6));
+    req.value += " v" + std::to_string(i);
+    cache_->Insert(std::move(req), 1.0 + i * 1e-3);
+    // The bound is enforced on every push, so it holds after each insert.
+    ASSERT_LE(cache_->victim_heap_entries(), 2 * cache_->size() + 64) << i;
+    max_entries = std::max(max_entries, cache_->victim_heap_entries());
+  }
+  EXPECT_GT(cache_->counters().evictions, 0u);
+  EXPECT_LE(max_entries, 2 * 240 + 64);  // 40 topics x 6 keys resident max
+}
+
+TEST_F(SemanticCacheTest, NanScoreFromARestoreRanksAsZero) {
+  SemanticCacheOptions opts;
+  opts.capacity_tokens = 300.0;
+  Rebuild(opts);
+  // A RESTORE carries metadata from outside; a negative cost makes the
+  // LCFU score NaN.
+  SemanticElement bad;
+  bad.key = world_.query(0);
+  bad.value = world_.answer(0);
+  bad.frequency = 3;
+  bad.retrieval_cost_dollars = -1.0;
+  bad.retrieval_latency_sec = 1.0;
+  bad.staticity = 5.0;
+  const SeId bad_id = *cache_->RestoreElement(std::move(bad), 1.0);
+  ASSERT_TRUE(std::isnan(
+      cache_->eviction_policy().Score(*cache_->Get(bad_id), 1.0)));
+  std::size_t topic = 1;
+  while (cache_->counters().evictions == 0) {
+    ASSERT_TRUE(cache_->Insert(RequestFor(topic++), 2.0).has_value());
+  }
+  EXPECT_EQ(cache_->Get(bad_id), nullptr);  // the lowest, not skipped
+  for (; topic < world_.universe->size(); ++topic) {
+    cache_->Insert(RequestFor(topic), 3.0);
+    ASSERT_LE(cache_->usage_tokens(), opts.capacity_tokens);
+  }
+}
+
+// The O(n) reference: one pass over the resident SEs per victim, ranked
+// by (tier, score, id) with the tiers EvictDownTo documents.  It replays
+// each eviction pass on a copy of the cache's pre-operation store, so it
+// judges only the victim choice.
+class ReferenceEvictor {
+ public:
+  explicit ReferenceEvictor(const EvictionPolicy& policy) : policy_(policy) {}
+
+  void SetBudget(const std::string& tenant, double budget) {
+    if (!tenant.empty() && budget > 0.0) budgets_[tenant] = budget;
+  }
+  const std::map<std::string, std::uint64_t>& evictions() const {
+    return evictions_;
+  }
+
+  // Victims, in order, of an insert of `incoming` (tenant and size as
+  // stored) into `store`, which already lacks the replaced and expired
+  // SEs.  `budget` > 0 runs the tenant's budget pass first.
+  std::vector<SeId> Evict(std::map<SeId, SemanticElement> store,
+                          const SemanticElement& incoming, double budget,
+                          double capacity, double now) {
+    std::vector<SeId> victims;
+    const auto tokens_of = [&store](const std::string& tenant) {
+      double sum = 0.0;
+      for (const auto& [id, se] : store) {
+        if (se.tenant == tenant) sum += se.size_tokens;
+      }
+      return sum;
+    };
+    const auto evict = [&](auto tier_of, double target, auto usage) {
+      while (usage() > std::max(target, 0.0)) {
+        std::optional<std::tuple<int, double, SeId>> best;
+        for (const auto& [id, se] : store) {
+          const int tier = tier_of(se);
+          if (tier < 0) continue;
+          const std::tuple<int, double, SeId> rank{
+              tier, policy_.Score(se, now), id};
+          if (!best || rank < *best) best = rank;
+        }
+        if (!best) return;
+        const SeId victim = std::get<2>(*best);
+        ++evictions_[store.at(victim).tenant];
+        victims.push_back(victim);
+        store.erase(victim);
+      }
+    };
+    const std::string& offender = incoming.tenant;
+    if (!offender.empty() && budget > 0.0) {
+      evict([&](const SemanticElement& se) {
+              return se.tenant == offender ? 0 : -1;
+            },
+            budget - incoming.size_tokens,
+            [&] { return tokens_of(offender); });
+    }
+    evict(
+        [&](const SemanticElement& se) {
+          if (!offender.empty() && se.tenant == offender) return 0;
+          if (se.tenant.empty()) return 2;
+          const auto b = budgets_.find(se.tenant);
+          return b != budgets_.end() && tokens_of(se.tenant) > b->second ? 1
+                                                                         : 3;
+        },
+        capacity - incoming.size_tokens, [&] {
+          double sum = 0.0;
+          for (const auto& [id, se] : store) sum += se.size_tokens;
+          return sum;
+        });
+    return victims;
+  }
+
+ private:
+  const EvictionPolicy& policy_;
+  std::map<std::string, double> budgets_;
+  std::map<std::string, std::uint64_t> evictions_;
+};
+
+class EvictionDifferentialTest
+    : public SemanticCacheTest,
+      public ::testing::WithParamInterface<EvictionKind> {};
+
+TEST_P(EvictionDifferentialTest, HeapsEvictExactlyWhatAScanWould) {
+  SemanticCacheOptions opts;
+  opts.capacity_tokens = 700.0;
+  opts.min_ttl_sec = 20.0;
+  opts.max_ttl_sec = 60.0;
+  opts.promote_distinct_tenants = 2;
+  SemanticCache cache(&world_.embedder, /*index=*/nullptr,
+                      world_.judger.get(), MakeEviction(GetParam()), opts);
+  cache.EnableJournal();
+  ReferenceEvictor reference(cache.eviction_policy());
+  const std::vector<std::string> tenants = {"", "acme", "globex", "initech"};
+  Rng rng(0xd1ff + static_cast<std::uint64_t>(GetParam()));
+
+  std::vector<SeId> journal;
+  std::size_t checked_victims = 0;
+  double clock = 0.0;
+  std::uint64_t serial = 0;
+  // Runs one store-adding operation and compares its victims with the
+  // reference's replay on the pre-operation store.
+  const auto run = [&](const std::string& tenant, double budget, double now,
+                       const auto& op) {
+    std::map<SeId, SemanticElement> before;
+    for (const auto& [id, se] : cache.entries()) {
+      before.emplace(id, se).first->second.embedding.clear();
+    }
+    const CacheCounters counters = cache.counters();
+    reference.SetBudget(tenant, budget);
+    const std::optional<SeId> added = op();
+    cache.DrainJournal(journal);
+    if (cache.counters().insertions == counters.insertions) {
+      EXPECT_EQ(cache.counters().evictions, counters.evictions);
+      return;
+    }
+    ASSERT_TRUE(added.has_value());
+    const SemanticElement& incoming = *cache.Get(*added);
+    // The reference starts from the store the eviction pass saw: minus
+    // the exact key this insert replaced and the SEs expired at `now`.
+    std::map<SeId, SemanticElement> store;
+    for (const auto& [id, se] : before) {
+      const bool replaced = se.tenant == incoming.tenant &&
+                            se.key == incoming.key;
+      if (!replaced && !se.ExpiredAt(now)) store.emplace(id, se);
+    }
+    std::vector<SeId> victims;
+    for (const SeId id : journal) {
+      if (store.contains(id) && cache.Get(id) == nullptr &&
+          std::find(victims.begin(), victims.end(), id) == victims.end()) {
+        victims.push_back(id);
+      }
+    }
+    const double tenant_budget = tenant == incoming.tenant ? budget : 0.0;
+    EXPECT_EQ(victims, reference.Evict(std::move(store), incoming,
+                                       tenant_budget, opts.capacity_tokens,
+                                       now))
+        << "op " << serial;
+    checked_victims += victims.size();
+  };
+
+  for (int step = 0; step < 5000; ++step, ++serial) {
+    clock += rng.Uniform(0.0, 0.5);
+    // Concurrent batches commit with their own, sometimes older, clocks.
+    const double now = clock - (rng.NextBelow(4) == 0 ? rng.Uniform(0, 2) : 0);
+    const std::string& tenant = tenants[rng.NextBelow(tenants.size())];
+    const double budget =
+        tenant.empty() || rng.NextBelow(3) == 0 ? 0.0 : rng.Uniform(100, 300);
+    // Few topics, so tenants often fetch the same value: dedup refreshes
+    // and promotion retags are frequent.
+    const std::size_t topic = rng.NextBelow(12);
+    switch (rng.NextBelow(10)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {  // insert: new, key replace, dedup refresh or promotion
+        InsertRequest req = RequestFor(topic, rng.NextBelow(6),
+                                       rng.NextBelow(3));
+        if (rng.NextBelow(2) == 0) {  // a zero-score wire insert
+          req.retrieval_cost_dollars = 0.0;
+          req.retrieval_latency_sec = 0.0;
+        }
+        if (rng.NextBelow(3) == 0) {
+          req.value += " rev " + std::to_string(rng.NextBelow(4));
+        }
+        req.tenant = tenant;
+        req.budget_tokens = budget;
+        req.shareable = rng.NextBelow(4) != 0;
+        run(tenant, budget, now,
+            [&] { return cache.Insert(std::move(req), now); });
+        break;
+      }
+      case 4: {  // restore a fully populated SE
+        SemanticElement se;
+        se.key = world_.query(topic, rng.NextBelow(6));
+        se.value = world_.answer(topic) + " restored";
+        se.tenant = tenant;
+        se.staticity = rng.Uniform(1.0, 10.0);
+        se.frequency = rng.NextBelow(5);
+        se.retrieval_cost_dollars = rng.Uniform(0.0, 0.01);
+        se.retrieval_latency_sec = rng.Uniform(0.0, 1.0);
+        se.created_at = now - rng.Uniform(0.0, 5.0);
+        se.last_access = now - rng.Uniform(0.0, 3.0);
+        se.expiration_time = now + rng.Uniform(1.0, 40.0);
+        run("", 0.0, now, [&] {
+          return cache.RestoreElement(std::move(se), now);
+        });
+        break;
+      }
+      case 5:
+      case 6:
+      case 7: {  // a committed hit bumps frequency and recency
+        if (cache.size() == 0) break;
+        auto it = cache.entries().begin();
+        std::advance(it, rng.NextBelow(cache.size()));
+        SemanticCache::LookupResult hit;
+        hit.hit = CacheHit{it->first, it->second.value, it->second.key, 1, 1};
+        cache.CommitLookup(hit, now);
+        break;
+      }
+      case 8: {
+        if (cache.size() == 0) break;
+        auto it = cache.entries().begin();
+        std::advance(it, rng.NextBelow(cache.size()));
+        cache.Remove(it->first);
+        break;
+      }
+      default:
+        cache.RemoveExpired(now);
+        break;
+    }
+  }
+
+  EXPECT_GT(checked_victims, 1000u);
+  EXPECT_GT(cache.counters().expirations, 20u);
+  EXPECT_GT(cache.counters().promotions, 20u);
+  EXPECT_GT(cache.counters().dedup_refreshes, 200u);
+  std::map<std::string, std::uint64_t> evictions;
+  for (const auto& [tenant, usage] : cache.tenant_usage()) {
+    if (usage.evictions > 0) evictions[tenant] = usage.evictions;
+  }
+  EXPECT_EQ(evictions, reference.evictions());
+  EXPECT_GT(evictions.size(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, EvictionDifferentialTest,
+    ::testing::Values(EvictionKind::kLcfu, EvictionKind::kLru,
+                      EvictionKind::kLfu),
+    [](const ::testing::TestParamInfo<EvictionKind>& info) {
+      return MakeEviction(info.param)->name();
+    });
 
 }  // namespace
 }  // namespace cortex

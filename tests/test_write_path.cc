@@ -403,7 +403,14 @@ TEST_F(WritePathTest, JournalChurnKeepsSnapshotEqualToStore) {
 
   for (std::size_t round = 0; round < 30; ++round) {
     for (std::size_t topic = round % 3; topic < topics; topic += 3) {
-      engine.Insert(RequestFor(topic, round % 6));  // insert / dedup refresh
+      InsertRequest req = RequestFor(topic, round % 6);
+      if (topic % 8 == 1) {
+        // Nonzero cost and latency give these a positive LCFU score, so
+        // they outlive the zero-score churn long enough to expire.
+        req.retrieval_cost_dollars = 0.01;
+        req.retrieval_latency_sec = 1.0;
+      }
+      engine.Insert(std::move(req));  // insert / dedup refresh
       ExpectSnapshotsMatchStore(engine, "insert");
       if (topic % 4 == 0) {  // the same private value from two tenants:
                              // the second retags the first into the pool
